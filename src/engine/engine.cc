@@ -356,6 +356,9 @@ Engine::step()
             continue;  // duplicate copy of an already-settled request
         metrics_.on_request_finished(*r);
     }
+    SP_DEBUG_ASSERT(cache_.accounting_consistent(),
+                    "KV accounting drifted: request tables and prefix "
+                    "entries do not hold exactly the pool's used blocks");
 
     if (cfg_.trace) {
         obs::GaugeEvent g;

@@ -53,16 +53,32 @@ Scheduler::enqueue(Request* r)
 void
 Scheduler::insert_waiting(Request* r, bool front_of_class)
 {
-    // Priority classes, FCFS within a class. New arrivals go behind their
-    // class; preempted requests return to the front of theirs (they have
-    // the oldest in-flight work).
-    const auto pos = std::find_if(
-        waiting_.begin(), waiting_.end(), [&](const Request* w) {
-            return front_of_class
-                       ? w->spec.priority <= r->spec.priority
-                       : w->spec.priority < r->spec.priority;
-        });
+    // Priority classes (descending), FCFS within a class. New arrivals go
+    // behind their class; preempted requests return to the front of
+    // theirs (they have the oldest in-flight work). Each search starts at
+    // the end it stops nearest to, so a single-class queue inserts in O(1).
+    const int prio = r->spec.priority;
+    auto pos = waiting_.begin();
+    if (front_of_class) {
+        while (pos != waiting_.end() && (*pos)->spec.priority > prio)
+            ++pos;
+    } else {
+        pos = waiting_.end();
+        while (pos != waiting_.begin() &&
+               (*std::prev(pos))->spec.priority < prio)
+            --pos;
+    }
     waiting_.insert(pos, r);
+    if (r->prefill_done())
+        ++waiting_prefilled_;
+}
+
+std::deque<Request*>::iterator
+Scheduler::erase_waiting(std::deque<Request*>::iterator it)
+{
+    if ((*it)->prefill_done())
+        --waiting_prefilled_;
+    return waiting_.erase(it);
 }
 
 std::int64_t
@@ -118,12 +134,13 @@ Scheduler::schedule(double now)
     // ---- Migrated-request admission ---------------------------------------
     // Requests arriving already prefilled (disaggregated decode workers)
     // materialize their transferred KV without compute; doing this before
-    // the decode pass lets them decode in this very step.
+    // the decode pass lets them decode in this very step. The scan runs
+    // only while such a request waits.
     bool migrated_blocked = false;
     for (auto it = waiting_.begin();
-         it != waiting_.end() && static_cast<std::int64_t>(
-                                     running_.size()) <
-                                     opts_.max_running_seqs;) {
+         waiting_prefilled_ > 0 && it != waiting_.end() &&
+         static_cast<std::int64_t>(running_.size()) <
+             opts_.max_running_seqs;) {
         Request* r = *it;
         if (r->spec.arrival > now || !r->prefill_done()) {
             ++it;
@@ -137,7 +154,7 @@ Scheduler::schedule(double now)
             ++it;
             continue;
         }
-        it = waiting_.erase(it);
+        it = erase_waiting(it);
         r->state = RequestState::kDecode;
         if (r->first_scheduled < 0.0) {
             r->first_scheduled = now;
@@ -191,51 +208,51 @@ Scheduler::schedule(double now)
     // chunked-prefill budget in one priority-ordered pass: a freshly
     // arrived latency-class request takes budget ahead of an in-flight
     // batch-class prefill. Within a class, continuing work precedes new
-    // admissions and ties keep FCFS order (stable sort).
-    struct PrefillCandidate
-    {
-        Request* request;
-        bool is_waiting;
-    };
-    std::vector<PrefillCandidate> candidates;
+    // admissions and each list keeps its own order. waiting_ is already
+    // sorted (descending class, FCFS within), so the pass merges it with
+    // the class-sorted running prefills instead of sorting the queue.
+    prefilling_.clear();
     for (Request* r : running_) {
         if (r->state == RequestState::kPrefill && !r->prefill_done())
-            candidates.push_back({r, false});
+            prefilling_.push_back(r);
     }
-    for (Request* r : waiting_) {
-        if (r->spec.arrival <= now && !r->prefill_done())
-            candidates.push_back({r, true});
-    }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const PrefillCandidate& a,
-                        const PrefillCandidate& b) {
-                         return a.request->spec.priority >
-                                b.request->spec.priority;
+    std::stable_sort(prefilling_.begin(), prefilling_.end(),
+                     [](const Request* a, const Request* b) {
+                         return a->spec.priority > b->spec.priority;
                      });
 
-    bool admission_blocked = false;
-    for (const auto& cand : candidates) {
-        if (budget <= 0)
-            break;
-        Request* r = cand.request;
-        if (!cand.is_waiting) {
-            budget -= schedule_prefill(r, budget, &plan);
+    auto next = prefilling_.begin();
+    auto w = waiting_.begin();
+    // Admission stops for good once it is blocked or running_ is full;
+    // the remaining running prefills are still served.
+    bool admitting = true;
+    while (budget > 0) {
+        while (admitting && w != waiting_.end() &&
+               ((*w)->spec.arrival > now || (*w)->prefill_done()))
+            ++w;
+        admitting = admitting && w != waiting_.end();
+        if (next != prefilling_.end() &&
+            (!admitting || (*next)->spec.priority >= (*w)->spec.priority)) {
+            budget -= schedule_prefill(*next++, budget, &plan);
             continue;
         }
-        if (admission_blocked ||
-            static_cast<std::int64_t>(running_.size()) >=
-                opts_.max_running_seqs) {
+        if (!admitting)
+            break;  // no running prefill left either
+        if (static_cast<std::int64_t>(running_.size()) >=
+            opts_.max_running_seqs) {
+            admitting = false;
             continue;
         }
+        Request* r = *w;
         attach_prefix_if_needed(r);
         const std::int64_t scheduled = schedule_prefill(r, budget, &plan);
         if (scheduled == 0) {
             // Keep intra-class FCFS: later (same or lower class) waiting
             // requests must not jump a blocked one.
-            admission_blocked = true;
+            admitting = false;
             continue;
         }
-        waiting_.erase(std::find(waiting_.begin(), waiting_.end(), r));
+        w = erase_waiting(w);
         r->state = RequestState::kPrefill;
         if (r->first_scheduled < 0.0) {
             r->first_scheduled = now;
@@ -273,7 +290,7 @@ Scheduler::cancel(Request* r)
     if (r->state == RequestState::kWaiting) {
         const auto it = std::find(waiting_.begin(), waiting_.end(), r);
         SP_ASSERT(it != waiting_.end(), "waiting request not in queue");
-        waiting_.erase(it);
+        erase_waiting(it);
     } else {
         const auto it = std::find(running_.begin(), running_.end(), r);
         SP_ASSERT(it != running_.end(), "running request not in queue");
@@ -313,7 +330,7 @@ Scheduler::expire_due(double now)
         }
         cache_->release(r->id);
         detach_prefix_if_attached(r);
-        it = waiting_.erase(it);
+        it = erase_waiting(it);
         expired.push_back(r);
     }
     for (Request* r : expired) {
@@ -353,6 +370,7 @@ Scheduler::drain_waiting()
         removed.push_back(r);
     }
     waiting_.clear();
+    waiting_prefilled_ = 0;
     return removed;
 }
 
@@ -376,6 +394,7 @@ Scheduler::fail_all()
         dropped.push_back(r);
     }
     waiting_.clear();
+    waiting_prefilled_ = 0;
     for (Request* r : dropped)
         r->state = RequestState::kLost;
     return dropped;
@@ -398,7 +417,7 @@ Scheduler::steal_waiting(double now, std::int64_t max_tokens)
             continue;
         if (r->spec.prompt_tokens + r->spec.output_tokens > max_tokens)
             continue;
-        waiting_.erase(std::next(it).base());
+        erase_waiting(std::next(it).base());
         r->state = RequestState::kMigrated;
         return r;
     }

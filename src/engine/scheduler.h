@@ -231,14 +231,22 @@ class Scheduler
     /** Insert into the waiting queue by priority class. */
     void insert_waiting(Request* r, bool front_of_class);
 
+    /** Remove `it` from the waiting queue; @return the next position. */
+    std::deque<Request*>::iterator
+    erase_waiting(std::deque<Request*>::iterator it);
+
     /** Publish a lifecycle event when a sink is attached. */
     void publish(const Request* r, obs::RequestPhase phase, double t,
                  std::int64_t tokens = 0) const;
 
     SchedulerOptions opts_;
     kvcache::CacheManager* cache_;
-    std::deque<Request*> waiting_;
+    std::deque<Request*> waiting_;   // descending class, FCFS within
     std::vector<Request*> running_;  // admission order
+    /** Waiting requests already prefilled (migrated-in decode work). */
+    std::size_t waiting_prefilled_ = 0;
+    /** Running prefills in class order (prefill-pass buffer, reused). */
+    std::vector<Request*> prefilling_;
     std::int64_t preemptions_ = 0;
     /** A deadline-carrying request was enqueued (gates expiry sweeps). */
     bool has_deadlines_ = false;

@@ -151,6 +151,17 @@ CacheManager::free_tokens() const
     return allocator_.num_free() * allocator_.block_size();
 }
 
+bool
+CacheManager::accounting_consistent() const
+{
+    std::int64_t held = 0;
+    for (const auto& [id, table] : tables_)
+        held += table.num_blocks();
+    for (const auto& [key, entry] : prefixes_)
+        held += entry.blocks.num_blocks();
+    return held == allocator_.num_used();
+}
+
 void
 CacheManager::assert_invariant_with(const KvLayout& other) const
 {

@@ -3,9 +3,11 @@
  * Engine-level KV cache: block pool + per-request tables + layout.
  *
  * The manager owns the block pool sized from a `MemoryPlan`, maintains one
- * `BlockTable` per live request, and carries the distributed `KvLayout` so
- * the shift engine can assert invariance before reusing the cache under a
- * different execution configuration.
+ * `BlockTable` (token and block counts) per live request and per shared
+ * prefix entry, and carries the distributed `KvLayout` so the shift engine
+ * can assert invariance before reusing the cache under a different
+ * execution configuration. Accounting is by count: the blocks held by all
+ * tables must always equal the pool's used count (`accounting_consistent`).
  */
 
 #pragma once
@@ -142,12 +144,23 @@ class CacheManager
     const KvLayout& layout() const { return layout_; }
 
     /**
+     * KV accounting invariant: the blocks held by every request table and
+     * prefix entry sum to the pool's used count. O(live requests + prefix
+     * entries); `Engine::step` checks it in Debug builds.
+     *
+     * @return true when the invariant holds.
+     */
+    bool accounting_consistent() const;
+
+    /**
      * Assert that `other` can share this cache without data movement
      * (panics otherwise) — called by the shift engine on every mode switch.
      */
     void assert_invariant_with(const KvLayout& other) const;
 
   private:
+    friend struct CacheManagerTestPeer;  // corrupts accounting on purpose
+
     /** One shared-prefix entry: blocks holding `tokens` cached tokens. */
     struct PrefixEntry
     {

@@ -251,6 +251,30 @@ TEST_F(SchedulerMigratedTest, CacheBlockedMigratedRequestBlocksItsClass)
     EXPECT_EQ(plan.chunks.size(), 1u);
 }
 
+TEST_F(SchedulerMigratedTest, CacheBlockedMigratedRequestDoesNotBlockArrivals)
+{
+    auto s = make({.max_batched_tokens = 512});
+    // 8 blocks: the first migrated request takes 5 (6 once it decodes),
+    // the second needs 4 and waits. A later ordinary arrival still gets
+    // the remaining space — migrated blocking holds only among migrated
+    // requests.
+    Request* resident = add_prefilled(80, 50);
+    s.enqueue(resident);
+    Request* blocked = add_prefilled(64, 50);
+    s.enqueue(blocked);
+    Request* fresh = add(16, 4);
+    s.enqueue(fresh);
+
+    const BatchPlan plan = s.schedule(0.0);
+    EXPECT_EQ(resident->state, RequestState::kDecode);
+    EXPECT_EQ(blocked->state, RequestState::kWaiting);
+    EXPECT_EQ(fresh->state, RequestState::kPrefill)
+        << "a cache-blocked migrated request stalled a later arrival";
+    ASSERT_EQ(plan.chunks.size(), 2u);
+    EXPECT_EQ(plan.chunks[1].request, fresh);
+    EXPECT_EQ(plan.chunks[1].new_tokens, 16);
+}
+
 } // namespace
 } // namespace shiftpar::engine
 

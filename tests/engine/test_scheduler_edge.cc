@@ -108,6 +108,27 @@ TEST_F(SchedulerEdge, HigherPriorityPrefillGetsBudgetFirst)
     EXPECT_EQ(plan.batched_tokens(), 1000);
 }
 
+TEST_F(SchedulerEdge, LowerClassPrefillServedWhileHigherClassCannotAdmit)
+{
+    // A higher-class arrival that cannot be admitted (running_ is full)
+    // ends admission for the step, but a lower-class prefill already
+    // running still gets the budget in that same step.
+    Scheduler s({.max_batched_tokens = 1000, .max_running_seqs = 1},
+                &cache_);
+    Request* low = add(5000, 2, /*priority=*/0);
+    s.enqueue(low);
+    run_step(s, 0.0);
+    ASSERT_EQ(low->state, RequestState::kPrefill);
+
+    Request* high = add(5000, 2, /*priority=*/3, /*arrival=*/0.1);
+    s.enqueue(high);
+    const auto plan = s.schedule(0.1);
+    ASSERT_EQ(plan.chunks.size(), 1u);
+    EXPECT_EQ(plan.chunks[0].request, low);
+    EXPECT_EQ(plan.batched_tokens(), 1000);
+    EXPECT_EQ(high->state, RequestState::kWaiting);
+}
+
 TEST_F(SchedulerEdge, ZeroOutputRequestsAreIllegalUpstream)
 {
     // Engine::submit rejects them; scheduler-level contract is output>=1.

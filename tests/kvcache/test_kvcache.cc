@@ -6,6 +6,13 @@
 #include "model/presets.h"
 
 namespace shiftpar::kvcache {
+
+/** Reaches into a CacheManager's pool to break its accounting on purpose. */
+struct CacheManagerTestPeer
+{
+    static BlockAllocator& pool(CacheManager& c) { return c.allocator_; }
+};
+
 namespace {
 
 TEST(BlockAllocator, AllocateUntilExhausted)
@@ -13,32 +20,39 @@ TEST(BlockAllocator, AllocateUntilExhausted)
     BlockAllocator a(4, 16);
     EXPECT_EQ(a.num_free(), 4);
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(a.allocate().has_value());
-    EXPECT_FALSE(a.allocate().has_value());
+        EXPECT_TRUE(a.allocate(1));
+    EXPECT_FALSE(a.allocate(1));
     EXPECT_EQ(a.num_used(), 4);
     EXPECT_DOUBLE_EQ(a.utilization(), 1.0);
 }
 
 TEST(BlockAllocator, FreeReturnsBlocks)
 {
-    BlockAllocator a(2, 16);
-    const BlockId b = *a.allocate();
-    a.free(b);
-    EXPECT_EQ(a.num_free(), 2);
+    BlockAllocator a(4, 16);
+    ASSERT_TRUE(a.allocate(4));
+    a.free(4);
+    EXPECT_EQ(a.num_free(), 4);
+    // The whole pool refills in one call; one block more is refused.
+    EXPECT_TRUE(a.allocate(4));
+    EXPECT_FALSE(a.allocate(1));
+    EXPECT_EQ(a.num_used(), 4);
 }
 
-TEST(BlockAllocator, DoubleFreePanics)
+TEST(BlockAllocator, AllocateIsAllOrNothing)
 {
-    BlockAllocator a(2, 16);
-    const BlockId b = *a.allocate();
-    a.free(b);
-    EXPECT_DEATH(a.free(b), "double free");
+    BlockAllocator a(3, 16);
+    EXPECT_TRUE(a.allocate(2));
+    EXPECT_FALSE(a.allocate(2));
+    EXPECT_EQ(a.num_used(), 2);
 }
 
-TEST(BlockAllocator, InvalidFreePanics)
+TEST(BlockAllocator, OverFreePanics)
 {
-    BlockAllocator a(2, 16);
-    EXPECT_DEATH(a.free(99), "invalid block");
+    BlockAllocator a(4, 16);
+    ASSERT_TRUE(a.allocate(2));
+    a.free(1);
+    EXPECT_DEATH(a.free(2), "KV block over-free: returning 2 blocks with "
+                            "only 1 in use");
 }
 
 TEST(BlockAllocator, BlocksForTokens)
@@ -196,6 +210,33 @@ TEST(CacheManager, InvarianceAssertPassesAndFails)
     c.assert_invariant_with(KvLayout::shift(m, {4, 2}));
     EXPECT_DEATH(c.assert_invariant_with(KvLayout::naive_tp(m, 8)),
                  "not invariant");
+}
+
+TEST(CacheManager, AccountingCheckCatchesPoolMismatch)
+{
+    const auto m = model::llama_70b();
+    CacheManager c(1600, KvLayout::base(m, {1, 8}), 16);
+    EXPECT_TRUE(c.accounting_consistent());
+    ASSERT_TRUE(c.try_append(1, 40));  // 3 blocks
+    c.attach_prefix(9, 64);
+    ASSERT_TRUE(c.try_append_prefix(9, 20));  // 2 blocks
+    EXPECT_TRUE(c.accounting_consistent());
+
+    // A block taken from the pool that no table records is a leak.
+    BlockAllocator& pool = CacheManagerTestPeer::pool(c);
+    ASSERT_TRUE(pool.allocate(1));
+    EXPECT_FALSE(c.accounting_consistent());
+    // Returning blocks that a table still records is a premature free.
+    pool.free(2);
+    EXPECT_FALSE(c.accounting_consistent());
+    ASSERT_TRUE(pool.allocate(1));
+    EXPECT_TRUE(c.accounting_consistent());
+
+    c.release(1);
+    c.detach_prefix(9);
+    EXPECT_TRUE(c.evict_idle_prefixes(pool.num_blocks()));
+    EXPECT_TRUE(c.accounting_consistent());
+    EXPECT_EQ(pool.num_used(), 0);
 }
 
 TEST(CacheManager, UtilizationTracksUsage)
