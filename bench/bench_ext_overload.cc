@@ -161,7 +161,11 @@ main(int argc, char** argv)
         const Strategy& st = strategies[i % strategies.size()];
         const Load& load = loads[fi];
         const double f = factors[fi];
-        bench::set_run_label("x" + Table::fmt(f, 0) + " " + st.name);
+        // Built by appending: `"x" + std::string` trips a GCC 12
+        // -Wrestrict false positive.
+        std::string factor = "x";
+        factor += Table::fmt(f, 0);
+        bench::set_run_label(factor + " " + st.name);
 
         engine::OverloadOptions overload;
         overload.hedge_delay = st.hedge_delay;
@@ -190,11 +194,11 @@ main(int argc, char** argv)
                   os.completed, " completed + ", os.expired, " expired + ",
                   os.cancelled, " cancelled + ", fs.lost, " lost + ",
                   fs.shed, " shed");
-        bench::record_run("x" + Table::fmt(f, 0) + " " + st.name, met);
-        return bench::SweepCommit([&table, &csv, &st, f, met, os, fs,
-                                   submitted, slo] {
+        bench::record_run(factor + " " + st.name, met);
+        return bench::SweepCommit([&table, &csv, &st, f, factor, met, os,
+                                   fs, submitted, slo] {
             table.add_row(
-                {"x" + Table::fmt(f, 0), st.name,
+                {factor, st.name,
                  Table::fmt_count(os.completed),
                  Table::fmt_count(os.expired),
                  Table::fmt_count(os.cancelled),

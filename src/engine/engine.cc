@@ -308,8 +308,9 @@ Engine::step()
     }
 
     std::vector<parallel::KernelCost> breakdown;
+    plan.work_into(&work_);
     parallel::StepTiming timing = cost_model_->evaluate(
-        plan.work(), choice.cfg, choice.sliced,
+        work_, choice.cfg, choice.sliced,
         cfg_.cost_metrics ? &breakdown : nullptr);
     if (cfg_.cost_metrics)
         record_cost_metrics(timing, breakdown);

@@ -391,6 +391,7 @@ class Engine : public sim::Component
     Scheduler scheduler_;
     std::unique_ptr<ExecutionPolicy> policy_;
     Metrics metrics_;
+    parallel::BatchWork work_;  ///< step()'s cost-model input, reused
     std::vector<std::unique_ptr<Request>> requests_;
     std::function<bool(const Request&)> on_finish_;
     std::function<void(RequestId, double)> on_expire_;

@@ -16,14 +16,12 @@ BatchPlan::batched_tokens() const
     return total;
 }
 
-parallel::BatchWork
-BatchPlan::work() const
+void
+BatchPlan::work_into(parallel::BatchWork* out) const
 {
-    parallel::BatchWork w;
-    w.chunks.reserve(chunks.size());
+    out->chunks.clear();
     for (const auto& c : chunks)
-        w.chunks.push_back({c.new_tokens, c.past, c.is_prefill});
-    return w;
+        out->chunks.push_back({c.new_tokens, c.past, c.is_prefill});
 }
 
 Scheduler::Scheduler(SchedulerOptions opts, kvcache::CacheManager* cache)
@@ -128,6 +126,9 @@ BatchPlan
 Scheduler::schedule(double now)
 {
     BatchPlan plan;
+    // Every running sequence plus one admission, so a typical step never
+    // re-grows the plan.
+    plan.chunks.reserve(running_.size() + 1);
     std::int64_t budget = opts_.max_batched_tokens;
     sched_now_ = now;  // stamps preemption/lifecycle events this call
 

@@ -74,8 +74,8 @@ struct BatchPlan
     /** @return true when nothing was schedulable. */
     bool empty() const { return chunks.empty(); }
 
-    /** @return the perf-model view of this batch. */
-    parallel::BatchWork work() const;
+    /** Replace `out`'s chunks with the perf-model view of this batch. */
+    void work_into(parallel::BatchWork* out) const;
 };
 
 /** FCFS continuous-batching scheduler bound to one engine's KV cache. */

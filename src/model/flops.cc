@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.h"
-
 namespace shiftpar::model {
 
 double
@@ -36,35 +34,6 @@ double
 lm_head_flops(const ModelConfig& m, double n)
 {
     return 2.0 * n * m.hidden_size * m.vocab_size;
-}
-
-double
-attn_flops(const ModelConfig& m, double new_tokens, double past)
-{
-    SP_ASSERT(new_tokens >= 0.0 && past >= 0.0);
-    // Sum over i in [0, n) of (past + i + 1) attended keys:
-    //   n*past + n(n+1)/2.
-    const double attended =
-        new_tokens * past + new_tokens * (new_tokens + 1.0) / 2.0;
-    // QK^T and PV each cost 2*d_h FLOPs per (query head, key) pair.
-    return 4.0 * m.q_heads * m.head_dim * attended;
-}
-
-double
-kv_read_bytes(const ModelConfig& m, double new_tokens, double past)
-{
-    SP_ASSERT(new_tokens >= 0.0 && past >= 0.0);
-    // One streaming pass over the attended context per chunk. The chunk's
-    // own keys are read from registers/SMEM as they are produced; charge
-    // the cached `past` region plus half the chunk (average causal reach).
-    const double tokens_read = past + new_tokens / 2.0;
-    return tokens_read * m.kv_bytes_per_token_layer();
-}
-
-double
-kv_write_bytes(const ModelConfig& m, double new_tokens)
-{
-    return new_tokens * m.kv_bytes_per_token_layer();
 }
 
 double

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "model/model_config.h"
+#include "util/logging.h"
 
 namespace shiftpar::model {
 
@@ -42,7 +43,17 @@ double lm_head_flops(const ModelConfig& m, double n);
  * Token i (0-based) attends `past + i + 1` keys; scores and values each cost
  * 2 * h * d_h FLOPs per (query, key) pair.
  */
-double attn_flops(const ModelConfig& m, double new_tokens, double past);
+inline double
+attn_flops(const ModelConfig& m, double new_tokens, double past)
+{
+    SP_ASSERT(new_tokens >= 0.0 && past >= 0.0);
+    // Sum over i in [0, n) of (past + i + 1) attended keys:
+    //   n*past + n(n+1)/2.
+    const double attended =
+        new_tokens * past + new_tokens * (new_tokens + 1.0) / 2.0;
+    // QK^T and PV each cost 2*d_h FLOPs per (query head, key) pair.
+    return 4.0 * m.q_heads * m.head_dim * attended;
+}
 
 /**
  * KV-cache bytes *read* by attention for a chunk, one layer, all KV heads.
@@ -51,10 +62,23 @@ double attn_flops(const ModelConfig& m, double new_tokens, double past);
  * block; we charge one full read of the attended context per chunk (not per
  * token), matching measured decode memory-boundedness.
  */
-double kv_read_bytes(const ModelConfig& m, double new_tokens, double past);
+inline double
+kv_read_bytes(const ModelConfig& m, double new_tokens, double past)
+{
+    SP_ASSERT(new_tokens >= 0.0 && past >= 0.0);
+    // One streaming pass over the attended context per chunk. The chunk's
+    // own keys are read from registers/SMEM as they are produced; charge
+    // the cached `past` region plus half the chunk (average causal reach).
+    const double tokens_read = past + new_tokens / 2.0;
+    return tokens_read * m.kv_bytes_per_token_layer();
+}
 
 /** KV-cache bytes written for `new_tokens`, one layer, all KV heads. */
-double kv_write_bytes(const ModelConfig& m, double new_tokens);
+inline double
+kv_write_bytes(const ModelConfig& m, double new_tokens)
+{
+    return new_tokens * m.kv_bytes_per_token_layer();
+}
 
 /**
  * Weight bytes read from HBM in one layer to process a batch of

@@ -88,12 +88,6 @@ ModelConfig::expert_weight_fraction() const
 }
 
 double
-ModelConfig::kv_bytes_per_token_layer() const
-{
-    return kv_heads * kv_head_bytes_per_token(head_dim, kv_dtype);
-}
-
-double
 ModelConfig::kv_bytes_per_token() const
 {
     return kv_bytes_per_token_layer() * num_layers;

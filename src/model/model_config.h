@@ -101,7 +101,10 @@ struct ModelConfig
     double expert_weight_fraction() const;
 
     /** KV cache bytes per token per layer (both K and V, all KV heads). */
-    double kv_bytes_per_token_layer() const;
+    double kv_bytes_per_token_layer() const
+    {
+        return kv_heads * kv_head_bytes_per_token(head_dim, kv_dtype);
+    }
 
     /** KV cache bytes per token across all layers. */
     double kv_bytes_per_token() const;

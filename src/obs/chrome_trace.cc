@@ -55,7 +55,12 @@ class ArgsBuilder
     std::string
     str() const
     {
-        return "{" + os_.str() + "}";
+        // Appending (not "{" + ... + "}") sidesteps a GCC 12 -Wrestrict
+        // false positive in the temporary concatenation.
+        std::string s = "{";
+        s += os_.str();
+        s += '}';
+        return s;
     }
 
   private:

@@ -126,6 +126,40 @@ TEST(Engine, StepRecordsAreTimeOrderedAndConsistent)
     }
 }
 
+TEST(Engine, ReusedWorkBufferPricesLikeFreshWork)
+{
+    // The engine prices every step from one reused BatchWork; each step
+    // must cost exactly what a freshly built batch of its chunks costs,
+    // also when the batch widens and then narrows again.
+    const auto m = tiny_model();
+    auto cfg = tp8_engine_config();
+    cfg.sched.max_batched_tokens = 1 << 20;  // single-chunk prefills
+    auto e = make_engine(m, cfg);
+    e->submit({0.0, 512, 3}, 1);
+    e->submit({1e-6, 1024, 1}, 2);  // arrives during request 1's prefill
+    e->drain();
+
+    // Prefill 1 alone; decode 1 beside prefill 2 (which then finishes);
+    // decode 1 alone.
+    const parallel::BatchWork fresh[] = {
+        {{{512, 0, true}}},
+        {{{1, 512, false}, {1024, 0, true}}},
+        {{{1, 513, false}}},
+    };
+    const auto& steps = e->metrics().steps();
+    ASSERT_GE(steps.size(), 3u);
+    const parallel::PerfModel perf(test_node(), m, cfg.perf);
+    for (std::size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(steps[i].num_seqs, fresh[i].num_seqs());
+        const parallel::StepTiming t = perf.evaluate(fresh[i], cfg.base);
+        EXPECT_EQ(steps[i].timing.gemm, t.gemm);
+        EXPECT_EQ(steps[i].timing.attention, t.attention);
+        EXPECT_EQ(steps[i].timing.comm, t.comm);
+        EXPECT_EQ(steps[i].timing.overhead, t.overhead);
+    }
+}
+
 TEST(Engine, RejectsModelThatDoesNotFit)
 {
     engine::EngineConfig cfg;

@@ -153,10 +153,29 @@ TEST_F(SchedulerEdge, BatchPlanAccounting)
     s.enqueue(add(500, 5));
     const auto plan = s.schedule(0.0);
     EXPECT_EQ(plan.batched_tokens(), 600);
-    const auto work = plan.work();
+    parallel::BatchWork work;
+    plan.work_into(&work);
     EXPECT_EQ(work.total_new_tokens(), 600);
     EXPECT_EQ(work.num_seqs(), 2);
     EXPECT_TRUE(work.chunks[0].is_prefill);
+}
+
+TEST_F(SchedulerEdge, WorkIntoReplacesStaleChunks)
+{
+    Scheduler s({}, &cache_);
+    s.enqueue(add(300, 4));
+    const auto plan = s.schedule(0.0);
+    ASSERT_EQ(plan.chunks.size(), 1u);
+
+    // A buffer left over from a wider step must end up holding exactly
+    // this plan's chunk.
+    parallel::BatchWork work = parallel::BatchWork::decode(5, 1000);
+    plan.work_into(&work);
+    ASSERT_EQ(work.num_seqs(), 1);
+    EXPECT_EQ(work.chunks[0].new_tokens, 300);
+    EXPECT_EQ(work.chunks[0].past, 0);
+    EXPECT_TRUE(work.chunks[0].is_prefill);
+    EXPECT_EQ(work.total_new_tokens(), plan.batched_tokens());
 }
 
 } // namespace

@@ -65,6 +65,37 @@ TEST(Config, ValidationRejectsUnevenKvSplit)
     EXPECT_TRUE(validate_config(m, {12, 1}).empty());  // replicate 2x
 }
 
+TEST(Config, ValidationMessagesAreVerbatim)
+{
+    // One case per check, in validate_config's order; the text is part of
+    // the fatal() diagnostics users see, so pin it exactly.
+    const auto l70 = model::llama_70b();
+    EXPECT_EQ(validate_config(l70, {0, 8}),
+              "parallel degrees must be >= 1, got (SP=0,TP=8)");
+    EXPECT_EQ(validate_config(l70, {16, 8}),
+              "Llama-70B: 64 query heads are not divisible across 128 ranks");
+
+    model::ModelConfig kv6 = l70;
+    kv6.q_heads = 48;
+    kv6.kv_heads = 6;
+    EXPECT_EQ(validate_config(kv6, {4, 1}),
+              "Llama-70B: 6 KV heads are not divisible across 4 ranks");
+    EXPECT_EQ(validate_config(kv6, {16, 1}),
+              "Llama-70B: cannot replicate 6 KV heads evenly onto 16 ranks");
+
+    EXPECT_EQ(validate_config(l70, {8, 1, 0}),
+              "EP degree must be >= 1, got 0");
+    EXPECT_EQ(validate_config(l70, {8, 1, 2}),
+              "Llama-70B: EP requires a mixture-of-experts model");
+
+    model::ModelConfig moe = model::llama_17b_16e();  // 16 experts
+    EXPECT_EQ(validate_config(moe, {8, 1, 3}),
+              "Llama-17B-16E: EP=3 does not divide the group of 8 ranks");
+    moe.num_experts = 12;
+    EXPECT_EQ(validate_config(moe, {8, 1, 8}),
+              "Llama-17B-16E: 12 experts are not divisible across EP=8");
+}
+
 TEST(Memory, Eq1ShiftOverheadIsOneOverSp)
 {
     const auto m = model::llama_70b();
