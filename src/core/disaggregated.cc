@@ -376,10 +376,8 @@ DisaggregatedSystem::run_workload(
         combined.add_record(rec);
     }
     // Fold both pools' step telemetry for throughput/step accounting.
-    for (const auto& s : prefill->metrics().steps())
-        combined.on_step(s);
-    for (const auto& s : decode->metrics().steps())
-        combined.on_step(s);
+    combined.merge_steps(prefill->metrics());
+    combined.merge_steps(decode->metrics());
     return combined;
 }
 

@@ -314,41 +314,28 @@ Engine::step()
         cfg_.cost_metrics ? &breakdown : nullptr);
     if (cfg_.cost_metrics)
         record_cost_metrics(timing, breakdown);
-    // Fault-injection multipliers. Guarded so an unfaulted run's timings
-    // are the exact same doubles — results stay bit-identical with the
-    // fault subsystem unused.
-    if (comm_multiplier_ != 1.0)
-        timing.comm *= comm_multiplier_;
-    if (slowdown_ != 1.0) {
-        timing.gemm *= slowdown_;
-        timing.attention *= slowdown_;
-        timing.comm *= slowdown_;
-        timing.overhead *= slowdown_;
-    }
+    // Fault-injection multipliers; a healthy engine's are exactly 1.0, and
+    // x * 1.0 == x, so its timings stay the same doubles.
+    timing.comm *= comm_multiplier_;
+    timing.gemm *= slowdown_;
+    timing.attention *= slowdown_;
+    timing.comm *= slowdown_;
+    timing.overhead *= slowdown_;
 
-    StepRecord rec;
-    rec.start = now_;
+    obs::StepEvent ev;
+    ev.engine = cfg_.trace_id;
+    ev.start = now_;
     now_ += timing.total();
-    rec.end = now_;
-    rec.batched_tokens = batched;
-    rec.num_seqs = static_cast<std::int64_t>(plan.chunks.size());
-    rec.cfg = choice.cfg;
-    rec.timing = timing;
-    metrics_.on_step(rec);
-
-    if (cfg_.trace) {
-        obs::StepEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.start = rec.start;
-        ev.end = rec.end;
-        ev.batched_tokens = batched;
-        ev.num_seqs = rec.num_seqs;
-        ev.cfg = choice.cfg;
-        ev.shifted = !(choice.cfg == cfg_.base);
-        ev.sliced = choice.sliced;
-        ev.timing = timing;
+    ev.end = now_;
+    ev.batched_tokens = batched;
+    ev.num_seqs = static_cast<std::int64_t>(plan.chunks.size());
+    ev.cfg = choice.cfg;
+    ev.shifted = !(choice.cfg == cfg_.base);
+    ev.sliced = choice.sliced;
+    ev.timing = timing;
+    metrics_.on_step(ev);
+    if (cfg_.trace)
         cfg_.trace->on_step(ev);
-    }
 
     std::vector<Request*> finished;
     scheduler_.on_step_complete(now_, plan, &finished);

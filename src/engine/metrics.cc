@@ -40,11 +40,10 @@ Metrics::add_record(const RequestRecord& rec)
 }
 
 void
-Metrics::on_step(const StepRecord& step)
+Metrics::on_step(const obs::StepEvent& step)
 {
     SP_ASSERT(step.end >= step.start && step.start >= 0.0,
               "malformed step record");
-    steps_.push_back(step);
     throughput_.add(step.end, static_cast<double>(step.batched_tokens));
     component_totals_ += step.timing;
     total_tokens_ += step.batched_tokens;
@@ -58,15 +57,27 @@ Metrics::on_step(const StepRecord& step)
 void
 Metrics::merge(const Metrics& other)
 {
-    SP_ASSERT(&other != this, "cannot merge a Metrics into itself");
-    // Delegate to the single-sample paths so merged aggregates are
-    // bit-identical to direct accumulation (merging an empty Metrics is a
-    // no-op; merging into an empty Metrics reproduces `other` exactly up
-    // to throughput rebinning when bin widths differ).
+    // merge_steps rejects a self-merge before the request loop could grow
+    // the vector it walks. Requests replay through add_record so the
+    // histograms match direct accumulation.
+    merge_steps(other);
     for (const auto& rec : other.requests_)
         add_record(rec);
-    for (const auto& step : other.steps_)
-        on_step(step);
+}
+
+void
+Metrics::merge_steps(const Metrics& other)
+{
+    SP_ASSERT(&other != this, "cannot merge a Metrics into itself");
+    // Bins hold integer token counts and the counts are integers, so these
+    // sums equal re-adding every step; only component_totals_ rounds in a
+    // different order (one add per engine instead of per step).
+    throughput_.merge(other.throughput_);
+    component_totals_ += other.component_totals_;
+    total_tokens_ += other.total_tokens_;
+    sp_steps_ += other.sp_steps_;
+    tp_steps_ += other.tp_steps_;
+    end_time_ = std::max(end_time_, other.end_time_);
 }
 
 double

@@ -1,11 +1,14 @@
 /**
  * @file
- * Experiment telemetry: per-request records, per-step traces, aggregates.
+ * Experiment telemetry: per-request records and aggregates.
  *
  * Collected once per engine; `Metrics::merge` combines replicas for DP
  * deployments. Everything the paper reports is derived here: TTFT / TPOT /
  * completion distributions (Figs. 9-11), time-binned combined throughput
  * and its peak (Table 5, Fig. 7), and cost-component totals (Fig. 15).
+ * Steps are folded into those totals as they are recorded and never kept,
+ * so a `Metrics` is O(requests + throughput bins); a caller that needs the
+ * step sequence subscribes to the engine's `obs::StepEvent`s instead.
  */
 
 #pragma once
@@ -14,7 +17,7 @@
 #include <vector>
 
 #include "engine/request.h"
-#include "parallel/config.h"
+#include "obs/trace.h"
 #include "parallel/perf_model.h"
 #include "util/histogram.h"
 #include "util/stats.h"
@@ -34,17 +37,6 @@ struct RequestRecord
     /** Queueing delay: first scheduling minus arrival. */
     double wait = 0.0;
     int preemptions = 0;
-};
-
-/** Record of one engine iteration. */
-struct StepRecord
-{
-    double start = 0.0;
-    double end = 0.0;
-    std::int64_t batched_tokens = 0;  ///< Alg. 2 decision input
-    std::int64_t num_seqs = 0;
-    parallel::ParallelConfig cfg;     ///< configuration executed
-    parallel::StepTiming timing;
 };
 
 /** Service-level objective on per-request latencies. */
@@ -71,17 +63,17 @@ class Metrics
      *  spanned multiple engines in a disaggregated deployment). */
     void add_record(const RequestRecord& rec);
 
-    /** Record one engine step (also feeds the throughput timeline). */
-    void on_step(const StepRecord& step);
+    /** Fold one engine step into the throughput timeline and totals. */
+    void on_step(const obs::StepEvent& step);
 
     /** Fold another engine's metrics into this one (DP merge). */
     void merge(const Metrics& other);
 
+    /** Fold only another engine's step aggregates; bin widths must match. */
+    void merge_steps(const Metrics& other);
+
     /** @return per-request records, in completion order. */
     const std::vector<RequestRecord>& requests() const { return requests_; }
-
-    /** @return per-step records, in time order (per engine). */
-    const std::vector<StepRecord>& steps() const { return steps_; }
 
     /**
      * TTFT distribution, seconds. Latency distributions are streaming
@@ -137,7 +129,6 @@ class Metrics
 
   private:
     std::vector<RequestRecord> requests_;
-    std::vector<StepRecord> steps_;
     util::Histogram ttft_;
     util::Histogram tpot_;
     util::Histogram completion_;

@@ -166,8 +166,7 @@ Router::admit(const RequestSpec& spec, RequestId id, double t)
     note_submit(pick, id);
     publish(engines_[pick]->trace_id(), id, obs::RequestPhase::kRouted,
             spec.arrival, spec.prompt_tokens);
-    if (lifecycle_active_ && overload_.hedge_delay > 0.0 &&
-        engines_.size() > 1) {
+    if (overload_.hedge_delay > 0.0 && engines_.size() > 1) {
         const double when = t + overload_.hedge_delay;
         active_cluster_->post(when, [this, spec, id, when] {
             maybe_hedge(spec, id, when);
@@ -873,11 +872,6 @@ Router::assert_conservation(std::size_t submitted) const
 Metrics
 Router::merged_metrics() const
 {
-    // Seed the bin width defensively: an engineless router (possible when
-    // a caller moves the engines out or builds the router incrementally)
-    // must not index engines_[0].
-    if (engines_.empty())
-        return Metrics();
     Metrics merged(engines_[0]->metrics().throughput().bin_seconds());
     for (const auto& e : engines_)
         merged.merge(e->metrics());

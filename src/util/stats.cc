@@ -103,6 +103,17 @@ TimeSeries::add(double t, double value)
     bins_[idx] += value;
 }
 
+void
+TimeSeries::merge(const TimeSeries& other)
+{
+    SP_ASSERT(other.bin_seconds_ == bin_seconds_,
+              "cannot merge time series with different bin widths");
+    if (other.bins_.size() > bins_.size())
+        bins_.resize(other.bins_.size(), 0.0);
+    for (std::size_t i = 0; i < other.bins_.size(); ++i)
+        bins_[i] += other.bins_[i];
+}
+
 double
 TimeSeries::bin_value(std::size_t i) const
 {

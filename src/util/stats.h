@@ -95,6 +95,9 @@ class TimeSeries
     /** Accumulate `value` into the bin containing time `t` (t >= 0). */
     void add(double t, double value);
 
+    /** Add `other` bin by bin; the bin widths must be equal. */
+    void merge(const TimeSeries& other);
+
     /** @return number of bins touched so far (highest bin index + 1). */
     std::size_t num_bins() const { return bins_.size(); }
 

@@ -2,9 +2,12 @@
 
 #pragma once
 
+#include <vector>
+
 #include "engine/engine.h"
 #include "hw/presets.h"
 #include "model/model_config.h"
+#include "obs/trace.h"
 
 namespace shiftpar::testing {
 
@@ -50,5 +53,28 @@ make_engine(const model::ModelConfig& m, engine::EngineConfig cfg)
         test_node(), m, cfg,
         std::make_unique<engine::FixedPolicy>(cfg.base));
 }
+
+/**
+ * Trace sink that keeps every engine step, in publication order. `Metrics`
+ * folds steps as they happen, so tests that inspect individual steps
+ * attach one of these (EngineConfig::trace or Deployment::trace).
+ */
+struct StepLog : obs::TraceSink
+{
+    std::vector<obs::StepEvent> steps;
+
+    void on_step(const obs::StepEvent& e) override { steps.push_back(e); }
+
+    /** @return engine `id`'s steps, in the order it executed them. */
+    std::vector<obs::StepEvent>
+    of(obs::EngineId id) const
+    {
+        std::vector<obs::StepEvent> out;
+        for (const auto& s : steps)
+            if (s.engine == id)
+                out.push_back(s);
+        return out;
+    }
+};
 
 } // namespace shiftpar::testing

@@ -11,6 +11,7 @@ namespace shiftpar::engine {
 namespace {
 
 using shiftpar::testing::make_engine;
+using shiftpar::testing::StepLog;
 using shiftpar::testing::test_node;
 using shiftpar::testing::tiny_model;
 using shiftpar::testing::tp8_engine_config;
@@ -112,12 +113,18 @@ TEST(Engine, AllSubmittedRequestsFinishExactlyOnce)
 
 TEST(Engine, StepRecordsAreTimeOrderedAndConsistent)
 {
-    auto e = make_engine(tiny_model(), tp8_engine_config());
+    StepLog log;
+    auto cfg = tp8_engine_config();
+    cfg.trace = &log;
+    auto e = make_engine(tiny_model(), cfg);
     for (int i = 0; i < 10; ++i)
         e->submit({0.0, 300, 8}, i);
     e->drain();
+    ASSERT_FALSE(log.steps.empty());
+    EXPECT_EQ(static_cast<std::int64_t>(log.steps.size()),
+              e->metrics().sp_steps() + e->metrics().tp_steps());
     double prev_end = 0.0;
-    for (const auto& s : e->metrics().steps()) {
+    for (const auto& s : log.steps) {
         EXPECT_GE(s.start, prev_end - 1e-12);
         EXPECT_GT(s.end, s.start);
         EXPECT_NEAR(s.end - s.start, s.timing.total(), 1e-12);
@@ -134,6 +141,8 @@ TEST(Engine, ReusedWorkBufferPricesLikeFreshWork)
     const auto m = tiny_model();
     auto cfg = tp8_engine_config();
     cfg.sched.max_batched_tokens = 1 << 20;  // single-chunk prefills
+    StepLog log;
+    cfg.trace = &log;
     auto e = make_engine(m, cfg);
     e->submit({0.0, 512, 3}, 1);
     e->submit({1e-6, 1024, 1}, 2);  // arrives during request 1's prefill
@@ -146,7 +155,7 @@ TEST(Engine, ReusedWorkBufferPricesLikeFreshWork)
         {{{1, 512, false}, {1024, 0, true}}},
         {{{1, 513, false}}},
     };
-    const auto& steps = e->metrics().steps();
+    const auto& steps = log.steps;
     ASSERT_GE(steps.size(), 3u);
     const parallel::PerfModel perf(test_node(), m, cfg.perf);
     for (std::size_t i = 0; i < 3; ++i) {
@@ -182,7 +191,7 @@ TEST(Metrics, MergeCombinesEverything)
 {
     Metrics a(1.0);
     Metrics b(1.0);
-    StepRecord s;
+    obs::StepEvent s;
     s.start = 0.0;
     s.end = 0.5;
     s.batched_tokens = 100;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Metrics edge cases: merge with empty operands, self-merge, merge
- * equivalence with direct accumulation, and zero-duration throughput /
- * goodput queries.
+ * equivalence with direct accumulation, mismatched bin widths, and
+ * zero-duration throughput / goodput queries.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@ using namespace shiftpar;
 using engine::Metrics;
 using engine::RequestRecord;
 using engine::SloSpec;
-using engine::StepRecord;
 
 namespace {
 
@@ -32,10 +31,10 @@ record(engine::RequestId id, double ttft, double tpot)
     return rec;
 }
 
-StepRecord
+obs::StepEvent
 step(double start, double end, std::int64_t tokens, int sp)
 {
-    StepRecord s;
+    obs::StepEvent s;
     s.start = start;
     s.end = end;
     s.batched_tokens = tokens;
@@ -55,7 +54,8 @@ TEST(Metrics, MergeEmptyIsNoop)
     const Metrics empty(1.0);
     m.merge(empty);
     EXPECT_EQ(m.requests().size(), 1u);
-    EXPECT_EQ(m.steps().size(), 1u);
+    EXPECT_EQ(m.sp_steps(), 1);
+    EXPECT_EQ(m.tp_steps(), 0);
     EXPECT_EQ(m.total_tokens(), 120);
     EXPECT_DOUBLE_EQ(m.end_time(), 1.0);
 }
@@ -84,12 +84,17 @@ TEST(Metrics, MergeMatchesDirectAccumulation)
     Metrics a(1.0), b(1.0), direct(1.0);
     for (int i = 0; i < 20; ++i) {
         const RequestRecord rec = record(i, 0.05 * (i + 1), 0.01);
-        const StepRecord s = step(i * 0.5, i * 0.5 + 0.4, 64 + i, i % 2 ? 4 : 1);
+        const obs::StepEvent s =
+            step(i * 0.5, i * 0.5 + 0.4, 64 + i, i % 2 ? 4 : 1);
         ((i % 2 == 0) ? a : b).add_record(rec);
         ((i % 2 == 0) ? a : b).on_step(s);
         direct.add_record(rec);
         direct.on_step(s);
     }
+    // A late step gives the merged-in series more bins than the target.
+    b.on_step(step(12.0, 12.5, 30, 1));
+    direct.on_step(step(12.0, 12.5, 30, 1));
+    ASSERT_GT(b.throughput().num_bins(), a.throughput().num_bins());
     a.merge(b);
     EXPECT_EQ(a.requests().size(), direct.requests().size());
     EXPECT_EQ(a.total_tokens(), direct.total_tokens());
@@ -99,6 +104,21 @@ TEST(Metrics, MergeMatchesDirectAccumulation)
     EXPECT_DOUBLE_EQ(a.completion().sum(), direct.completion().sum());
     EXPECT_DOUBLE_EQ(a.throughput().peak_rate(),
                      direct.throughput().peak_rate());
+    ASSERT_EQ(a.throughput().num_bins(), direct.throughput().num_bins());
+    for (std::size_t i = 0; i < direct.throughput().num_bins(); ++i)
+        EXPECT_EQ(a.throughput().bin_value(i),
+                  direct.throughput().bin_value(i))
+            << "bin " << i;
+    EXPECT_EQ(a.sp_steps(), direct.sp_steps());
+    EXPECT_EQ(a.tp_steps(), direct.tp_steps());
+}
+
+TEST(Metrics, MergeWithDifferentBinWidthsPanics)
+{
+    Metrics a(1.0);
+    Metrics b(0.5);
+    b.on_step(step(0.0, 1.0, 10, 1));
+    EXPECT_DEATH(a.merge(b), "different bin widths");
 }
 
 TEST(Metrics, SelfMergeIsRejected)

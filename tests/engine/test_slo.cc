@@ -48,7 +48,7 @@ TEST(Slo, GoodputCountsOnlySatisfyingTokens)
     Metrics m(1.0);
     m.add_record(record(0.5, 0.01, 1000, 100));  // ok: 1100 tokens
     m.add_record(record(9.0, 0.01, 5000, 100));  // violates TTFT
-    StepRecord step;
+    obs::StepEvent step;
     step.start = 0.0;
     step.end = 10.0;  // makespan 10 s
     step.batched_tokens = 6200;

@@ -12,6 +12,7 @@
 
 #include "common/bench_common.h"
 #include "common/sweep.h"
+#include "common/test_helpers.h"
 #include "core/deployment.h"
 #include "model/presets.h"
 #include "workload/arrival.h"
@@ -71,8 +72,10 @@ TEST_P(EngineFuzz, InvariantsHoldOnRandomRuns)
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
     const auto m =
         rng.bernoulli(0.5) ? model::llama_70b() : model::qwen_32b();
-    const auto d = random_deployment(rng, m);
+    auto d = random_deployment(rng, m);
     const auto reqs = random_workload(rng);
+    shiftpar::testing::StepLog log;
+    d.trace = &log;
 
     auto router = core::build(d);
     engine::RequestId id = 0;
@@ -111,14 +114,18 @@ TEST_P(EngineFuzz, InvariantsHoldOnRandomRuns)
     }
 
     // 4. Steps are time-ordered per engine with positive durations.
+    std::int64_t steps = 0;
     for (std::size_t e = 0; e < router->size(); ++e) {
         double prev = 0.0;
-        for (const auto& s : router->engine(e).metrics().steps()) {
+        const auto engine_steps = log.of(router->engine(e).trace_id());
+        steps += static_cast<std::int64_t>(engine_steps.size());
+        for (const auto& s : engine_steps) {
             EXPECT_GE(s.start, prev - 1e-12);
             EXPECT_GT(s.end, s.start);
             prev = s.end;
         }
     }
+    EXPECT_EQ(steps, met.sp_steps() + met.tp_steps());
 }
 
 TEST_P(EngineFuzz, DeterministicUnderFixedSeed)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/test_helpers.h"
 #include "core/deployment.h"
 #include "kvcache/layout.h"
 #include "model/presets.h"
@@ -23,6 +24,8 @@ TEST(ShiftConformance, EveryStepObeysTheThreshold)
     core::Deployment d;
     d.model = model::llama_70b();
     d.strategy = parallel::Strategy::kShift;
+    shiftpar::testing::StepLog log;
+    d.trace = &log;
     const auto resolved = core::resolve(d);
     const std::int64_t threshold = resolved.shift_threshold;
     ASSERT_GT(threshold, 0);
@@ -39,7 +42,8 @@ TEST(ShiftConformance, EveryStepObeysTheThreshold)
 
     std::int64_t base_steps = 0;
     std::int64_t shift_steps = 0;
-    for (const auto& step : router->engine(0).metrics().steps()) {
+    ASSERT_EQ(router->size(), 1u);
+    for (const auto& step : log.steps) {
         if (step.batched_tokens > threshold) {
             EXPECT_EQ(step.cfg, resolved.base)
                 << "batch " << step.batched_tokens;
@@ -62,12 +66,16 @@ TEST(ShiftConformance, ManualThresholdIsHonored)
     d.model = model::qwen_32b();
     d.strategy = parallel::Strategy::kShift;
     d.shift_threshold = 64;  // far below the auto value
+    shiftpar::testing::StepLog log;
+    d.trace = &log;
     const auto resolved = core::resolve(d);
     EXPECT_EQ(resolved.shift_threshold, 64);
 
     auto router = core::build(d);
     router->run_workload(workload::uniform_batch(8, 2048, 16));
-    for (const auto& step : router->engine(0).metrics().steps()) {
+    ASSERT_EQ(router->size(), 1u);
+    ASSERT_FALSE(log.steps.empty());
+    for (const auto& step : log.steps) {
         if (step.batched_tokens > 64)
             EXPECT_EQ(step.cfg.sp, resolved.base.sp);
         else

@@ -10,8 +10,8 @@
  * same workload both ways — through the cluster core and through the
  * pre-refactor lockstep loop (advance everyone to each arrival, submit,
  * drain), which survives as `Router::run_until`/`submit`/`drain` — and
- * requires exact equality of every request record, every step record,
- * and the serialized run report, byte for byte.
+ * requires exact equality of every request record, every engine's step
+ * sequence, and the serialized run report, byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@ namespace shiftpar::engine {
 namespace {
 
 using shiftpar::testing::make_engine;
+using shiftpar::testing::StepLog;
 using shiftpar::testing::tiny_model;
 
 /** A deterministic mixed workload: ragged prompts, bursts, stragglers. */
@@ -48,13 +49,16 @@ mixed_workload(int n)
     return reqs;
 }
 
+/** Replicas whose steps are published to `log` under ids 0..count-1. */
 std::vector<std::unique_ptr<Engine>>
-build_replicas(int count, int tp)
+build_replicas(int count, int tp, StepLog& log)
 {
     std::vector<std::unique_ptr<Engine>> engines;
     for (int i = 0; i < count; ++i) {
         EngineConfig cfg;
         cfg.base = {1, tp};
+        cfg.trace = &log;
+        cfg.trace_id = log.register_engine({});
         engines.push_back(make_engine(tiny_model(), cfg));
     }
     return engines;
@@ -78,8 +82,13 @@ lockstep_replay(Router& router, const std::vector<RequestSpec>& workload)
     return router.merged_metrics();
 }
 
+/**
+ * The cluster and lockstep paths interleave DP replicas' steps
+ * differently, so step sequences are compared per engine.
+ */
 void
-expect_identical(const Metrics& a, const Metrics& b)
+expect_identical(const Metrics& a, const StepLog& a_log, const Metrics& b,
+                 const StepLog& b_log, int engines)
 {
     ASSERT_EQ(a.requests().size(), b.requests().size());
     for (std::size_t i = 0; i < a.requests().size(); ++i) {
@@ -95,14 +104,18 @@ expect_identical(const Metrics& a, const Metrics& b)
         EXPECT_EQ(x.wait, y.wait);
         EXPECT_EQ(x.preemptions, y.preemptions);
     }
-    ASSERT_EQ(a.steps().size(), b.steps().size());
-    for (std::size_t i = 0; i < a.steps().size(); ++i) {
-        const StepRecord& x = a.steps()[i];
-        const StepRecord& y = b.steps()[i];
-        EXPECT_EQ(x.start, y.start);
-        EXPECT_EQ(x.end, y.end);
-        EXPECT_EQ(x.batched_tokens, y.batched_tokens);
-        EXPECT_EQ(x.num_seqs, y.num_seqs);
+    ASSERT_EQ(a_log.steps.size(), b_log.steps.size());
+    for (int e = 0; e < engines; ++e) {
+        SCOPED_TRACE(e);
+        const auto xs = a_log.of(e);
+        const auto ys = b_log.of(e);
+        ASSERT_EQ(xs.size(), ys.size());
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            EXPECT_EQ(xs[i].start, ys[i].start);
+            EXPECT_EQ(xs[i].end, ys[i].end);
+            EXPECT_EQ(xs[i].batched_tokens, ys[i].batched_tokens);
+            EXPECT_EQ(xs[i].num_seqs, ys[i].num_seqs);
+        }
     }
     // The serialized run report is the external contract: identical bytes.
     obs::ReportJson ra("equivalence");
@@ -118,28 +131,32 @@ expect_identical(const Metrics& a, const Metrics& b)
 TEST(SimEquivalence, SingleEngineMatchesLockstepBitForBit)
 {
     const auto workload = mixed_workload(60);
-    Router cluster_router(build_replicas(1, 4));
+    StepLog cluster_log, lockstep_log;
+    Router cluster_router(build_replicas(1, 4, cluster_log));
     const Metrics via_cluster = cluster_router.run_workload(workload);
 
-    Router lockstep_router(build_replicas(1, 4));
+    Router lockstep_router(build_replicas(1, 4, lockstep_log));
     const Metrics via_lockstep = lockstep_replay(lockstep_router, workload);
 
-    expect_identical(via_cluster, via_lockstep);
+    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
+                     1);
     EXPECT_EQ(cluster_router.migration_count(), 0);
 }
 
 TEST(SimEquivalence, EightReplicaDpMatchesLockstepBitForBit)
 {
     const auto workload = mixed_workload(120);
-    Router cluster_router(build_replicas(8, 1),
+    StepLog cluster_log, lockstep_log;
+    Router cluster_router(build_replicas(8, 1, cluster_log),
                           RoutingPolicy::kLeastTokens);
     const Metrics via_cluster = cluster_router.run_workload(workload);
 
-    Router lockstep_router(build_replicas(8, 1),
+    Router lockstep_router(build_replicas(8, 1, lockstep_log),
                            RoutingPolicy::kLeastTokens);
     const Metrics via_lockstep = lockstep_replay(lockstep_router, workload);
 
-    expect_identical(via_cluster, via_lockstep);
+    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
+                     8);
 }
 
 TEST(SimEquivalence, RoundRobinDpMatchesLockstepBitForBit)
@@ -147,15 +164,17 @@ TEST(SimEquivalence, RoundRobinDpMatchesLockstepBitForBit)
     // Round-robin routing is sensitive to submission *order* alone, so it
     // doubles as a check that cluster arrival events keep posting order.
     const auto workload = mixed_workload(80);
-    Router cluster_router(build_replicas(4, 2),
+    StepLog cluster_log, lockstep_log;
+    Router cluster_router(build_replicas(4, 2, cluster_log),
                           RoutingPolicy::kRoundRobin);
     const Metrics via_cluster = cluster_router.run_workload(workload);
 
-    Router lockstep_router(build_replicas(4, 2),
+    Router lockstep_router(build_replicas(4, 2, lockstep_log),
                            RoutingPolicy::kRoundRobin);
     const Metrics via_lockstep = lockstep_replay(lockstep_router, workload);
 
-    expect_identical(via_cluster, via_lockstep);
+    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
+                     4);
 }
 
 TEST(SimEquivalence, MigrationOffByDefaultEvenWhenImbalanced)
@@ -165,12 +184,15 @@ TEST(SimEquivalence, MigrationOffByDefaultEvenWhenImbalanced)
     std::vector<RequestSpec> reqs;
     for (int i = 0; i < 30; ++i)
         reqs.push_back({0.001 * i, 4096, 64});
-    Router cluster_router(build_replicas(2, 4));
+    StepLog cluster_log, lockstep_log;
+    Router cluster_router(build_replicas(2, 4, cluster_log));
     const Metrics via_cluster = cluster_router.run_workload(reqs);
     EXPECT_EQ(cluster_router.migration_count(), 0);
 
-    Router lockstep_router(build_replicas(2, 4));
-    expect_identical(via_cluster, lockstep_replay(lockstep_router, reqs));
+    Router lockstep_router(build_replicas(2, 4, lockstep_log));
+    const Metrics via_lockstep = lockstep_replay(lockstep_router, reqs);
+    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
+                     2);
 }
 
 } // namespace

@@ -34,7 +34,7 @@ sample_metrics()
         rec.wait = 0.05;
         m.add_record(rec);
     }
-    engine::StepRecord step;
+    obs::StepEvent step;
     step.start = 0.0;
     step.end = 6.0;
     step.batched_tokens = 1100;

@@ -370,7 +370,7 @@ class TraceSpanBalanceCheck final : public Check
  * but not to the report writer silently vanishes from every downstream
  * analysis. Each watched struct's fields must appear in each of its
  * coverage functions (one level of same-file call delegation is
- * followed, so `Metrics::merge` delegating to `add_record`/`on_step`
+ * followed, so `Metrics::merge` delegating to `add_record`/`merge_steps`
  * counts).
  */
 class StructSerializerDriftCheck final : public Check
