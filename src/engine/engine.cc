@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "obs/metrics_registry.h"
@@ -52,13 +53,14 @@ Engine::submit(const RequestSpec& spec, RequestId id, bool migrated_in)
               std::to_string(spec.prompt_tokens + spec.output_tokens) +
               " > " + std::to_string(model_.max_context) + " tokens");
     }
+    SP_ASSERT(!live_.contains(id), "request ", id, " is already live here");
     auto req = std::make_unique<Request>();
     req->id = id;
     req->spec = spec;
     req->prefill_target = spec.prompt_tokens;
     req->migrated_in = migrated_in;
     scheduler_.enqueue(req.get());
-    requests_.push_back(std::move(req));
+    live_.emplace(id, std::move(req));
     if (cfg_.trace) {
         cfg_.trace->publish_request({cfg_.trace_id, id,
                                 obs::RequestPhase::kSubmit, spec.arrival,
@@ -74,6 +76,7 @@ Engine::submit_prefilled(const RequestSpec& spec, RequestId id,
     SP_ASSERT(spec.prompt_tokens >= 1 && spec.output_tokens >= 1);
     SP_ASSERT(already_decoded >= 1 && already_decoded < spec.output_tokens,
               "a prefilled request needs at least one token left to decode");
+    SP_ASSERT(!live_.contains(id), "request ", id, " is already live here");
     auto req = std::make_unique<Request>();
     req->id = id;
     req->spec = spec;
@@ -82,7 +85,7 @@ Engine::submit_prefilled(const RequestSpec& spec, RequestId id,
     req->decoded = already_decoded;
     req->first_token = spec.arrival;  // produced by the prefill worker
     scheduler_.enqueue(req.get());
-    requests_.push_back(std::move(req));
+    live_.emplace(id, std::move(req));
     if (cfg_.trace) {
         cfg_.trace->publish_request({cfg_.trace_id, id,
                                 obs::RequestPhase::kSubmit, spec.arrival,
@@ -94,36 +97,39 @@ Engine::submit_prefilled(const RequestSpec& spec, RequestId id,
 bool
 Engine::cancel(RequestId id)
 {
-    for (auto& req : requests_) {
-        if (req->id != id)
-            continue;
-        // Keep scanning past dead copies: a request dropped here (lost,
-        // migrated out) and later re-routed back leaves its old object
-        // in requests_ ahead of the live one.
-        if (!scheduler_.cancel(req.get()))
-            continue;
-        ++cancelled_;
-        if (cfg_.trace) {
-            cfg_.trace->publish_request(
-                {cfg_.trace_id, id, obs::RequestPhase::kCancel, now_, 0});
-        }
-        notify_ready_changed();  // may have been the engine's last work
-        return true;
+    const auto it = live_.find(id);
+    if (it == live_.end())
+        return false;
+    Request* r = it->second.get();
+    scheduler_.cancel(r);
+    free_terminal({&r, 1});
+    ++cancelled_;
+    if (cfg_.trace) {
+        cfg_.trace->publish_request(
+            {cfg_.trace_id, id, obs::RequestPhase::kCancel, now_, 0});
     }
-    return false;
+    notify_ready_changed();  // may have been the engine's last work
+    return true;
 }
 
 bool
 Engine::queued_unscheduled(RequestId id) const
 {
-    for (const auto& req : requests_) {
-        // Scan every copy: a dead one (lost, migrated out) may precede a
-        // live re-routed one with the same id.
-        if (req->id == id && req->state == RequestState::kWaiting &&
-            req->first_scheduled < 0.0)
-            return true;
-    }
-    return false;
+    const auto it = live_.find(id);
+    return it != live_.end() &&
+           it->second->state == RequestState::kWaiting &&
+           it->second->first_scheduled < 0.0;
+}
+
+void
+Engine::free_terminal(std::span<Request* const> done)
+{
+    for (const Request* r : done)
+        live_.erase(RequestId{r->id});  // a copy: erasing frees *r
+    SP_DEBUG_ASSERT(live_requests() == scheduler_.num_waiting() +
+                                           scheduler_.num_running(),
+                    "request conservation broken: the engine holds a "
+                    "request the scheduler has neither waiting nor running");
 }
 
 std::vector<std::pair<RequestSpec, RequestId>>
@@ -138,13 +144,10 @@ Engine::start_drain(double t)
     out.reserve(handed.size());
     for (const Request* r : handed)
         out.emplace_back(r->spec, r->id);
+    free_terminal(handed);
     if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kDrainStart;
-        ev.t = now_;
-        ev.dropped_requests = static_cast<std::int64_t>(out.size());
-        cfg_.trace->on_fault(ev);
+        cfg_.trace->on_fault({cfg_.trace_id, obs::FaultKind::kDrainStart,
+                              now_, 0.0, std::ssize(out)});
     }
     notify_ready_changed();  // the hand-back may have emptied the queue
     return out;
@@ -156,13 +159,8 @@ Engine::resume_admission(double t)
     SP_ASSERT(draining_, "resume_admission on a non-draining engine");
     draining_ = false;
     now_ = std::max(now_, t);
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kDrainEnd;
-        ev.t = now_;
-        cfg_.trace->on_fault(ev);
-    }
+    if (cfg_.trace)
+        cfg_.trace->on_fault({cfg_.trace_id, obs::FaultKind::kDrainEnd, now_});
     notify_ready_changed();
 }
 
@@ -181,6 +179,7 @@ Engine::fail(double t)
     out.reserve(dropped.size());
     for (const Request* r : dropped)
         out.emplace_back(r->spec, r->id);
+    free_terminal(dropped);
 
     // HBM dies with the rank group: idle prefix entries (live ones were
     // just unpinned by the drop) are destroyed too, so a recovered engine
@@ -190,12 +189,8 @@ Engine::fail(double t)
               "failed engine still holds KV state");
 
     if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kFail;
-        ev.t = now_;
-        ev.dropped_requests = static_cast<std::int64_t>(out.size());
-        cfg_.trace->on_fault(ev);
+        cfg_.trace->on_fault({cfg_.trace_id, obs::FaultKind::kFail, now_,
+                              0.0, std::ssize(out)});
     }
     notify_ready_changed();  // failed: no events until recover()
     return out;
@@ -207,13 +202,8 @@ Engine::recover(double t)
     SP_ASSERT(failed_, "recover() on a healthy engine");
     failed_ = false;
     now_ = std::max(now_, t);
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kRecover;
-        ev.t = now_;
-        cfg_.trace->on_fault(ev);
-    }
+    if (cfg_.trace)
+        cfg_.trace->on_fault({cfg_.trace_id, obs::FaultKind::kRecover, now_});
     notify_ready_changed();
 }
 
@@ -223,13 +213,10 @@ Engine::set_slowdown(double factor, double t)
     SP_ASSERT(factor >= 1.0);
     slowdown_ = factor;
     if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = factor > 1.0 ? obs::FaultKind::kStraggleStart
-                               : obs::FaultKind::kStraggleEnd;
-        ev.t = t;
-        ev.magnitude = factor;
-        cfg_.trace->on_fault(ev);
+        cfg_.trace->on_fault({cfg_.trace_id,
+                              factor > 1.0 ? obs::FaultKind::kStraggleStart
+                                           : obs::FaultKind::kStraggleEnd,
+                              t, factor});
     }
 }
 
@@ -239,13 +226,10 @@ Engine::set_comm_multiplier(double factor, double t)
     SP_ASSERT(factor >= 1.0);
     comm_multiplier_ = factor;
     if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = factor > 1.0 ? obs::FaultKind::kLinkDegrade
-                               : obs::FaultKind::kLinkRestore;
-        ev.t = t;
-        ev.magnitude = factor;
-        cfg_.trace->on_fault(ev);
+        cfg_.trace->on_fault({cfg_.trace_id,
+                              factor > 1.0 ? obs::FaultKind::kLinkDegrade
+                                           : obs::FaultKind::kLinkRestore,
+                              t, factor});
     }
 }
 
@@ -277,6 +261,7 @@ Engine::expire_now()
         if (on_expire_)
             on_expire_(r->id, now_);
     }
+    free_terminal(expired);
     // No notify_ready_changed() here: expire_now runs inside advance_to,
     // i.e. mid-grant, where re-posting the ready time stales the cluster
     // entry the loop is currently granting. Every expiry path returns
@@ -344,6 +329,7 @@ Engine::step()
             continue;  // duplicate copy of an already-settled request
         metrics_.on_request_finished(*r);
     }
+    free_terminal(finished);
     SP_DEBUG_ASSERT(cache_.accounting_consistent(),
                     "KV accounting drifted: request tables and prefix "
                     "entries do not hold exactly the pool's used blocks");
@@ -412,11 +398,10 @@ Engine::steal_waiting(std::int64_t max_tokens)
     Request* r = scheduler_.steal_waiting(now_, max_tokens);
     if (r == nullptr)
         return std::nullopt;
-    // The Request object stays in requests_ (it owns the storage) but is
-    // out of every queue and will never finish here, so it produces no
-    // record on this engine.
+    auto out = std::make_pair(r->spec, r->id);
+    free_terminal({&r, 1});
     notify_ready_changed();  // may have been the engine's last work
-    return std::make_pair(r->spec, r->id);
+    return out;
 }
 
 void

@@ -19,6 +19,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -218,8 +220,8 @@ class Engine : public sim::Component
      * progress (never scheduled, no KV, no prefix pin, arrival in this
      * engine's past, not itself migrated in) and whose total context
      * fits `max_tokens`, so a
-     * router can re-submit it on another replica. The request leaves
-     * this engine permanently and produces no record here.
+     * router can re-submit it on another replica. The request is freed
+     * here: it leaves this engine permanently and produces no record.
      *
      * @return the spec and id, or nullopt when nothing is stealable.
      */
@@ -257,6 +259,9 @@ class Engine : public sim::Component
     /** @return true while any request is unfinished. */
     bool has_work() const { return scheduler_.has_work(); }
 
+    /** @return requests held here, exactly the waiting + running ones. */
+    std::size_t live_requests() const { return live_.size(); }
+
     /** @return unprocessed tokens across queued + running requests. */
     std::int64_t outstanding_tokens() const
     {
@@ -282,7 +287,7 @@ class Engine : public sim::Component
      * Cancel a live request (client abort between steps): its queue slot
      * and KV cache are released immediately and it produces no record.
      *
-     * @return true when the request existed and was still live.
+     * @return false when `id` is not live (waiting or running) here.
      */
     bool cancel(RequestId id);
 
@@ -377,6 +382,9 @@ class Engine : public sim::Component
      */
     bool expire_now();
 
+    /** Free requests just made terminal; Debug-check conservation. */
+    void free_terminal(std::span<Request* const> done);
+
     /** Record the eval counter + kernel-share histograms for one step. */
     void record_cost_metrics(
         const parallel::StepTiming& timing,
@@ -392,7 +400,9 @@ class Engine : public sim::Component
     std::unique_ptr<ExecutionPolicy> policy_;
     Metrics metrics_;
     parallel::BatchWork work_;  ///< step()'s cost-model input, reused
-    std::vector<std::unique_ptr<Request>> requests_;
+    /** Waiting and running requests by id, each freed once terminal.
+     *  Never iterated: queue order is the scheduler's. */
+    std::unordered_map<RequestId, std::unique_ptr<Request>> live_;
     std::function<bool(const Request&)> on_finish_;
     std::function<void(RequestId, double)> on_expire_;
     double now_ = 0.0;

@@ -275,19 +275,14 @@ Scheduler::schedule(double now)
     return plan;
 }
 
-bool
+void
 Scheduler::cancel(Request* r)
 {
     SP_ASSERT(r != nullptr);
-    // Dead states sit in no queue: finished/cancelled are terminal,
-    // migrated/lost/expired copies were already pulled out (and the
-    // same id may live on elsewhere — a retry, the other hedge copy).
-    if (r->state == RequestState::kFinished ||
-        r->state == RequestState::kCancelled ||
-        r->state == RequestState::kMigrated ||
-        r->state == RequestState::kLost ||
-        r->state == RequestState::kExpired)
-        return false;
+    SP_ASSERT(r->state == RequestState::kWaiting ||
+                  r->state == RequestState::kPrefill ||
+                  r->state == RequestState::kDecode,
+              "cancel of a request that is neither waiting nor running");
     if (r->state == RequestState::kWaiting) {
         const auto it = std::find(waiting_.begin(), waiting_.end(), r);
         SP_ASSERT(it != waiting_.end(), "waiting request not in queue");
@@ -300,7 +295,6 @@ Scheduler::cancel(Request* r)
     cache_->release(r->id);
     detach_prefix_if_attached(r);
     r->state = RequestState::kCancelled;
-    return true;
 }
 
 std::vector<Request*>

@@ -104,12 +104,10 @@ class Scheduler
     BatchPlan schedule(double now);
 
     /**
-     * Cancel a request (client abort): removes it from whichever queue it
-     * occupies and releases its cache state.
-     *
-     * @return true when the request was live and is now cancelled.
+     * Cancel a live (waiting or running) request (client abort): removes
+     * it from whichever queue it occupies and releases its cache state.
      */
-    bool cancel(Request* r);
+    void cancel(Request* r);
 
     /**
      * Remove the youngest zero-progress waiting request (arrived by

@@ -187,6 +187,75 @@ TEST(Engine, RejectsInvalidSubmission)
     EXPECT_DEATH(e->submit({0.0, 0, 5}, 1), "at least one");
 }
 
+TEST(Engine, RejectsDuplicateLiveId)
+{
+    auto e = make_engine(tiny_model(), tp8_engine_config());
+    e->submit({0.0, 100, 2}, 1);
+    EXPECT_DEATH(e->submit({0.0, 100, 2}, 1), "already live");
+}
+
+TEST(Engine, TerminalRequestsAreFreed)
+{
+    // Every terminal path frees its request, so the engine holds exactly
+    // its waiting + running requests: finish, cancel, expire, steal
+    // (migrated out), fail (lost) and drain (handed back).
+    auto cfg = tp8_engine_config();
+    cfg.sched.max_running_seqs = 1;  // later submissions stay queued
+    auto e = make_engine(tiny_model(), cfg);
+
+    e->submit({0.0, 100, 2}, 0);
+    EXPECT_EQ(e->live_requests(), 1u);
+    e->drain();
+    EXPECT_EQ(e->metrics().requests().size(), 1u);
+    EXPECT_EQ(e->live_requests(), 0u);  // finish
+
+    e->submit({e->now(), 100, 2}, 1);
+    EXPECT_TRUE(e->cancel(1));
+    EXPECT_EQ(e->live_requests(), 0u);  // cancel
+
+    RequestSpec doomed{e->now(), 512, 512};
+    doomed.deadline = e->now() + 1e-6;  // long before 512 output tokens
+    e->submit(doomed, 2);
+    e->drain();
+    EXPECT_EQ(e->expired_count(), 1);
+    EXPECT_EQ(e->live_requests(), 0u);  // expire
+
+    e->submit({e->now(), 5000, 50}, 3);
+    e->submit({e->now(), 5000, 50}, 4);
+    const auto stolen = e->steal_waiting();
+    ASSERT_TRUE(stolen.has_value());
+    EXPECT_EQ(stolen->second, 4);
+    EXPECT_EQ(e->live_requests(), 1u);  // steal
+
+    EXPECT_EQ(e->fail(e->now()).size(), 1u);
+    EXPECT_EQ(e->live_requests(), 0u);  // fail
+    e->recover(e->now());
+
+    e->submit({e->now(), 5000, 50}, 5);
+    e->submit({e->now(), 5000, 50}, 6);
+    EXPECT_EQ(e->live_requests(), 2u);
+    EXPECT_EQ(e->start_drain(e->now()).size(), 2u);
+    EXPECT_EQ(e->live_requests(), 0u);  // drain
+    EXPECT_FALSE(e->has_work());
+}
+
+TEST(Engine, RequestRoutedBackAfterFailIsLiveAgain)
+{
+    // A request lost to a failure and later re-routed to the recovered
+    // engine under the same id is a fresh live request: the lost copy
+    // was freed, so nothing of it shadows the new one.
+    auto e = make_engine(tiny_model(), tp8_engine_config());
+    e->submit({0.0, 1000, 100}, 0);
+    e->run_until(0.05);  // the first copy is scheduled before the fault
+    const auto dropped = e->fail(e->now());
+    ASSERT_EQ(dropped.size(), 1u);
+    e->recover(e->now());
+    e->submit(dropped[0].first, 0);
+    EXPECT_TRUE(e->queued_unscheduled(0));
+    EXPECT_TRUE(e->cancel(0));
+    EXPECT_FALSE(e->has_work());
+}
+
 TEST(Metrics, MergeCombinesEverything)
 {
     Metrics a(1.0);

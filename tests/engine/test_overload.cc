@@ -170,9 +170,9 @@ TEST(CancelStream, DuringRetryBackoffCountsAsCancelledNotLost)
 
 TEST(CancelStream, AbortOfAnExpiredDeadCopyIsRejectedNotFatal)
 {
-    // A request that expired leaves its dead copy in the engine's book
-    // (the same id may live on elsewhere — the other hedge copy, a
-    // retry). An abort reaching that copy must be rejected as
+    // A request that expired is freed by the engine (the same id may
+    // live on elsewhere — the other hedge copy, a retry). A late abort
+    // addressed here finds nothing live and must be rejected as
     // not-cancellable, never treated as live work.
     auto engines = replicas(1);
     Engine& e = *engines[0];
