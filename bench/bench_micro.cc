@@ -18,6 +18,7 @@
 #include "model/presets.h"
 #include "parallel/layout.h"
 #include "parallel/perf_model.h"
+#include "sim/cluster.h"
 #include "workload/synthetic.h"
 
 using namespace shiftpar;
@@ -88,8 +89,10 @@ BM_EngineDecodeSteps(benchmark::State& state)
                          std::make_unique<engine::FixedPolicy>(cfg.base));
         for (int i = 0; i < 64; ++i)
             e.submit({0.0, 256, 64}, i);
+        sim::Cluster cluster;
+        cluster.add(&e);
         state.ResumeTiming();
-        e.drain();
+        cluster.run();
         benchmark::DoNotOptimize(e.metrics().total_tokens());
     }
 }

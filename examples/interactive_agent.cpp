@@ -51,7 +51,7 @@ agent_session()
 
 /**
  * Replay the session sequentially: each turn is submitted when the
- * previous one completes (closed loop).
+ * previous one completes (closed loop), as a one-request replay.
  */
 double
 run_session(const core::Deployment& d, const std::vector<Turn>& turns,
@@ -59,12 +59,9 @@ run_session(const core::Deployment& d, const std::vector<Turn>& turns,
 {
     auto router = core::build(d);
     double t = 0.0;
-    engine::RequestId id = 0;
     for (const auto& turn : turns) {
-        router->run_until(t);
-        router->submit({t, turn.prompt, turn.output}, id++);
-        router->drain();
-        const engine::Metrics met = router->merged_metrics();
+        const engine::Metrics met =
+            router->run_workload({{t, turn.prompt, turn.output}});
         const auto& rec = met.requests().back();
         t = rec.arrival + rec.completion;
     }

@@ -131,12 +131,10 @@ struct EngineConfig
 /**
  * One serving engine over one rank group.
  *
- * An engine is a `sim::Component`: the cluster core advances it one
- * scheduler iteration at a time, interleaved with other engines' steps
- * and with client events (arrivals, KV handoffs, migrations) in global
- * time order. The self-contained `run_until`/`drain` drive loop remains
- * for single-engine callers and as the lockstep reference the sim-core
- * equivalence test replays against.
+ * An engine is a `sim::Component` and has no drive loop of its own: a
+ * `sim::Cluster` advances it one scheduler iteration at a time,
+ * interleaved with other engines' steps and with client events
+ * (arrivals, KV handoffs, migrations) in global time order.
  */
 class Engine : public sim::Component
 {
@@ -167,16 +165,6 @@ class Engine : public sim::Component
     void submit_prefilled(const RequestSpec& spec, RequestId id,
                           std::int64_t already_decoded = 1);
 
-    /**
-     * Advance simulated time to `t`, executing steps while work exists.
-     * The final step may overshoot `t` (steps are atomic); idle time is
-     * skipped.
-     */
-    void run_until(double t);
-
-    /** Run until every submitted request has finished. */
-    void drain();
-
     /** sim::Component: the profiler attributes this engine's wall time
      *  under "engine". */
     const char* kind() const override { return "engine"; }
@@ -200,12 +188,11 @@ class Engine : public sim::Component
     bool advance_to(double t) override;
 
     /**
-     * Advance the clock without doing work (never backwards). The cluster
-     * replay syncs every replica to each arrival instant exactly like the
-     * lockstep loop's trailing `now_ = max(now_, t)`, keeping the two
-     * replays bit-identical. Moving the clock can promote a
-     * future-arrival wait into "ready now", so the ready cache is
-     * notified.
+     * Advance the clock without doing work (never backwards). The router
+     * syncs every replica to each arrival instant this way before routing
+     * it, so an idle replica's next step starts no earlier than the
+     * arrival. Moving the clock can promote a future-arrival wait into
+     * "ready now", so the ready cache is notified.
      */
     void advance_clock_to(double t)
     {
@@ -248,7 +235,7 @@ class Engine : public sim::Component
      * deadline (after the scheduler released its state). The router uses
      * it to settle the request's lifecycle outcome. Null disables.
      */
-    void set_on_expire(std::function<void(RequestId, double)> hook)
+    void set_on_expire(std::function<void(RequestId)> hook)
     {
         on_expire_ = std::move(hook);
     }
@@ -404,7 +391,7 @@ class Engine : public sim::Component
      *  Never iterated: queue order is the scheduler's. */
     std::unordered_map<RequestId, std::unique_ptr<Request>> live_;
     std::function<bool(const Request&)> on_finish_;
-    std::function<void(RequestId, double)> on_expire_;
+    std::function<void(RequestId)> on_expire_;
     double now_ = 0.0;
     std::int64_t cancelled_ = 0;
     std::int64_t expired_ = 0;

@@ -17,13 +17,6 @@ Router::Router(std::vector<std::unique_ptr<Engine>> engines,
     SP_ASSERT(!engines_.empty());
 }
 
-void
-Router::run_until(double t)
-{
-    for (auto& e : engines_)
-        e->run_until(t);
-}
-
 std::size_t
 Router::select_replica()
 {
@@ -76,23 +69,6 @@ Router::publish(obs::EngineId engine, RequestId id, obs::RequestPhase phase,
 }
 
 void
-Router::submit(const RequestSpec& spec, RequestId id)
-{
-    const std::size_t pick = select_replica();
-    SP_ASSERT(pick < engines_.size(), "submit with every replica failed");
-    engines_[pick]->submit(spec, id);
-    publish(engines_[pick]->trace_id(), id, obs::RequestPhase::kRouted,
-            spec.arrival, spec.prompt_tokens);
-}
-
-void
-Router::drain()
-{
-    for (auto& e : engines_)
-        e->drain();
-}
-
-void
 Router::rebalance(double t)
 {
     // Failed replicas are invisible to the rebalancer: they can neither
@@ -140,21 +116,17 @@ Router::rebalance(double t)
 void
 Router::admit(const RequestSpec& spec, RequestId id, double t)
 {
-    if (should_shed(t)) {
+    if (should_shed()) {
         ++fault_stats_.shed;
         obs::MetricsRegistry::current().counter_add(
             "shiftpar_fault_requests_total", 1, {{"outcome", "shed"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kShed, t,
                 spec.prompt_tokens);
-        if (lifecycle_active_) {
-            flights_[static_cast<std::size_t>(id)].outcome =
-                FlightOutcome::kShed;
-            count_outcome("shed");
-        }
+        flights_[static_cast<std::size_t>(id)].outcome = FlightOutcome::kShed;
+        count_outcome("shed");
         return;
     }
-    if (overload_.breaker.enabled)
-        update_breakers(t);
+    update_breakers(t);
     const std::size_t pick = select_replica();
     if (pick == engines_.size()) {
         // Every replica is down: treat the arrival like a dropped request
@@ -175,9 +147,8 @@ Router::admit(const RequestSpec& spec, RequestId id, double t)
 }
 
 bool
-Router::should_shed(double t) const
+Router::should_shed() const
 {
-    (void)t;
     if (resilience_.shed_watermark <= 0.0)
         return false;
     int total = 0, alive = 0;
@@ -211,41 +182,36 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
 {
     SP_ASSERT(active_cluster_ != nullptr,
               "retries only run inside run_workload");
-    if (lifecycle_active_) {
-        const RequestId logical = logical_request_id(id);
-        Flight& f = flights_[static_cast<std::size_t>(logical)];
-        const bool clone = is_hedge_clone(id);
-        if (clone)
-            f.clone_live = false;
-        else
-            f.primary_live = false;
-        clear_breaker_probe(id);
-        if (f.outcome != FlightOutcome::kInFlight)
-            return;  // settled while this copy was being dropped
-        const bool other_lives = clone ? f.primary_live : f.clone_live;
-        if (f.hedged && other_lives) {
-            // One hedge copy dropped but its sibling lives on: the
-            // sibling carries the flight, no retry needed.
-            ++overload_stats_.hedge_losses;
-            count_outcome("hedge_lost");
-            publish(engines_[0]->trace_id(), id,
-                    obs::RequestPhase::kHedgeLost, t);
-            return;
-        }
-        // Every copy is gone: the retry targets the logical request.
-        id = logical;
+    const RequestId logical = logical_request_id(id);
+    Flight& f = flights_[static_cast<std::size_t>(logical)];
+    const bool clone = is_hedge_clone(id);
+    if (clone)
+        f.clone_live = false;
+    else
+        f.primary_live = false;
+    clear_breaker_probe(id);
+    if (f.outcome != FlightOutcome::kInFlight)
+        return;  // settled while this copy was being dropped
+    const bool other_lives = clone ? f.primary_live : f.clone_live;
+    if (f.hedged && other_lives) {
+        // One hedge copy dropped but its sibling lives on: the sibling
+        // carries the flight, no retry needed.
+        ++overload_stats_.hedge_losses;
+        count_outcome("hedge_lost");
+        publish(engines_[0]->trace_id(), id, obs::RequestPhase::kHedgeLost,
+                t);
+        return;
     }
-    const int attempt = ++attempts_[id];
+    // Every copy is gone: the retry targets the logical request.
+    id = logical;
+    const int attempt = ++f.attempts;
     if (attempt > resilience_.max_retries) {
         ++fault_stats_.lost;
         obs::MetricsRegistry::current().counter_add(
             "shiftpar_fault_requests_total", 1, {{"outcome", "lost"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kLost, t);
-        if (lifecycle_active_) {
-            flights_[static_cast<std::size_t>(id)].outcome =
-                FlightOutcome::kLost;
-            count_outcome("lost");
-        }
+        f.outcome = FlightOutcome::kLost;
+        count_outcome("lost");
         return;
     }
     ++fault_stats_.retries;
@@ -259,14 +225,12 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
     publish(engines_[0]->trace_id(), id, obs::RequestPhase::kRetried, t,
             attempt);
     active_cluster_->post(when, [this, spec, id, when] {
-        if (lifecycle_active_ &&
-            flights_[static_cast<std::size_t>(id)].outcome !=
-                FlightOutcome::kInFlight)
+        if (flights_[static_cast<std::size_t>(id)].outcome !=
+            FlightOutcome::kInFlight)
             return;  // cancelled/expired while waiting out the backoff
         for (auto& e : engines_)
             e->advance_clock_to(when);
-        if (overload_.breaker.enabled)
-            update_breakers(when);
+        update_breakers(when);
         const std::size_t pick = select_replica();
         if (pick == engines_.size()) {
             schedule_retry(spec, id, when);  // outage persists: back off
@@ -444,46 +408,34 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
                      });
 
     // Every replica is a component on one event timeline; each arrival is
-    // an event that syncs replica clocks to the arrival instant (the
-    // lockstep replay's trailing `now = max(now, t)`) and routes the
-    // request. The cluster interleaves arrivals and engine steps in
-    // global time order, so with migration disabled the per-engine step
-    // sequences — and therefore all records and metrics — are
-    // bit-identical to the lockstep loop (see test_sim_equivalence).
+    // an event that syncs replica clocks to the arrival instant and routes
+    // the request. The cluster interleaves arrivals and engine steps in
+    // global time order.
     sim::Cluster cluster;
     cluster.set_profile(profile_);
     active_cluster_ = &cluster;
     fault_stats_ = {};
-    attempts_.clear();
     pending_restores_.assign(engines_.size(), {});
 
-    // Lifecycle tracking turns on only when a feature needs it (any
-    // deadline in the workload, a cancel stream, hedging, or breakers);
-    // otherwise the replay takes the exact seed code path — no hooks, no
-    // flight table, bit-identical results.
-    bool any_deadline = false;
-    for (const RequestSpec& s : sorted) {
-        if (s.deadline > 0.0) {
-            any_deadline = true;
-            break;
-        }
-    }
-    lifecycle_active_ = overload_.any() || !cancels_.empty() || any_deadline;
+    // Every replay tracks each request's flight to its terminal outcome.
+    // Only emission is gated: outcome counters and the completed tally
+    // appear when a lifecycle feature is in use, so a feature-off replay
+    // writes no outcome counter and reports no overload section.
+    report_outcomes_ =
+        overload_.any() || !cancels_.empty() ||
+        std::any_of(sorted.begin(), sorted.end(),
+                    [](const RequestSpec& s) { return s.deadline > 0.0; });
     overload_stats_ = {};
-    flights_.clear();
+    flights_.assign(sorted.size(), {});
     breakers_.clear();
-    if (lifecycle_active_) {
-        flights_.assign(sorted.size(), {});
-        if (overload_.breaker.enabled)
-            breakers_.assign(engines_.size(), {});
-        for (std::size_t i = 0; i < engines_.size(); ++i) {
-            engines_[i]->set_on_finish([this, i](const Request& r) {
-                return on_lifecycle_finish(i, r);
-            });
-            engines_[i]->set_on_expire([this, i](RequestId id, double t) {
-                settle_expired(i, id, t);
-            });
-        }
+    if (overload_.breaker.enabled)
+        breakers_.assign(engines_.size(), {});
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+        engines_[i]->set_on_finish([this, i](const Request& r) {
+            return on_lifecycle_finish(i, r);
+        });
+        engines_[i]->set_on_expire(
+            [this](RequestId id) { settle_expired(id); });
     }
 
     for (auto& e : engines_)
@@ -519,21 +471,17 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
                   "unfinished requests its KV cache cannot admit");
         }
     }
-    if (lifecycle_active_) {
-        for (auto& e : engines_) {
-            e->set_on_finish(nullptr);
-            e->set_on_expire(nullptr);
-        }
-        assert_conservation(sorted.size());
+    for (auto& e : engines_) {
+        e->set_on_finish(nullptr);
+        e->set_on_expire(nullptr);
     }
+    assert_conservation(sorted.size());
     return merged_metrics();
 }
 
 void
 Router::note_submit(std::size_t pick, RequestId id)
 {
-    if (!lifecycle_active_)
-        return;
     Flight& f =
         flights_[static_cast<std::size_t>(logical_request_id(id))];
     if (is_hedge_clone(id))
@@ -552,6 +500,8 @@ Router::note_submit(std::size_t pick, RequestId id)
 void
 Router::count_outcome(const char* outcome, std::int64_t n) const
 {
+    if (!report_outcomes_)
+        return;
     obs::MetricsRegistry::current().counter_add(
         "shiftpar_request_outcome_total", n, {{"outcome", outcome}});
 }
@@ -583,7 +533,8 @@ Router::on_lifecycle_finish(std::size_t idx, const Request& r)
         return false;
     }
     f.outcome = FlightOutcome::kCompleted;
-    ++overload_stats_.completed;
+    if (report_outcomes_)
+        ++overload_stats_.completed;
     count_outcome("completed");
     if (f.hedged) {
         ++overload_stats_.hedge_wins;
@@ -608,9 +559,8 @@ Router::on_lifecycle_finish(std::size_t idx, const Request& r)
 }
 
 void
-Router::settle_expired(std::size_t idx, RequestId id, double t)
+Router::settle_expired(RequestId id)
 {
-    (void)idx;
     const RequestId logical = logical_request_id(id);
     Flight& f = flights_[static_cast<std::size_t>(logical)];
     if (is_hedge_clone(id))
@@ -625,7 +575,6 @@ Router::settle_expired(std::size_t idx, RequestId id, double t)
     f.outcome = FlightOutcome::kExpired;
     ++overload_stats_.expired;
     count_outcome("expired");
-    (void)t;
 }
 
 void
@@ -685,8 +634,7 @@ Router::maybe_hedge(const RequestSpec& spec, RequestId id, double when)
     }
     if (holder == engines_.size())
         return;  // already scheduled (or in retry limbo): too late
-    if (overload_.breaker.enabled)
-        update_breakers(when);
+    update_breakers(when);
     // Least-loaded other replica that can take the clone.
     std::size_t target = engines_.size();
     std::int64_t best_load = 0;
@@ -857,13 +805,20 @@ void
 Router::assert_conservation(std::size_t submitted) const
 {
     std::int64_t settled = 0;
-    for (const Flight& f : flights_)
+    std::int64_t completed = 0;
+    for (const Flight& f : flights_) {
         settled += f.outcome != FlightOutcome::kInFlight ? 1 : 0;
+        completed += f.outcome == FlightOutcome::kCompleted ? 1 : 0;
+    }
     SP_ASSERT(settled == static_cast<std::int64_t>(submitted),
               "unsettled request flights after replay");
+    SP_ASSERT(!report_outcomes_ || overload_stats_.completed == completed,
+              "completed tally drifted from the flight table");
+    // Completions come from the flight table, so the identity holds on
+    // feature-off replays too, where the completed tally is not kept.
     const std::int64_t accounted =
-        overload_stats_.completed + overload_stats_.expired +
-        overload_stats_.cancelled + fault_stats_.lost + fault_stats_.shed;
+        completed + overload_stats_.expired + overload_stats_.cancelled +
+        fault_stats_.lost + fault_stats_.shed;
     SP_ASSERT(accounted == static_cast<std::int64_t>(submitted),
               "request conservation violated: submitted != completed + "
               "lost + shed + expired + cancelled");

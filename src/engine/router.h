@@ -4,20 +4,21 @@
  *
  * A `Router` owns one engine per replica. Single-engine deployments (TP,
  * SP, Shift) use a one-element router; DP deployments use one engine per
- * GPU. `run_workload` replays a trace on the discrete-event cluster core
- * (`sim::Cluster`): arrivals are posted as events, every engine is a
- * component stepped in global time order, and the result is bit-identical
- * to the historical lockstep replay (advance everyone to each arrival,
- * submit, drain) — which is exactly how the paper's client-side benchmark
- * drives the server. The shared timeline additionally enables an optional
- * cross-replica migration hook that re-routes queued stragglers from
- * overloaded replicas to idle ones between events.
+ * GPU. `run_workload` is the only way to drive a router: it replays a
+ * trace on the discrete-event cluster core (`sim::Cluster`), where
+ * arrivals are posted as events and every engine is a component stepped
+ * in global time order — which is exactly how the paper's client-side
+ * benchmark drives the server (route each arrival, let the replicas
+ * step). Every replay tracks each request's flight to one terminal
+ * outcome and asserts request conservation at its end. The shared
+ * timeline additionally enables an optional cross-replica migration hook
+ * that re-routes queued stragglers from overloaded replicas to idle ones
+ * between events.
  */
 
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
@@ -107,23 +108,14 @@ class Router
            RoutingPolicy policy = RoutingPolicy::kLeastTokens,
            MigrationOptions migration = {});
 
-    /** Advance all replicas to time `t` (lockstep drive; see class doc). */
-    void run_until(double t);
-
-    /** Route and submit one request at its arrival time. */
-    void submit(const RequestSpec& spec, RequestId id);
-
-    /** Drain all replicas. */
-    void drain();
-
     /**
      * Replay a full workload on the cluster core: arrivals, routing,
      * engine steps, and (when enabled) migrations interleave as events on
-     * one clock. Request ids are assigned by position. Bit-identical to
-     * the lockstep replay (`run_until` each arrival, `submit`, `drain`)
-     * when migration is disabled.
+     * one clock. Request ids are assigned by position in the
+     * arrival-sorted workload. fatal()s when a replica deadlocks; asserts
+     * submitted = completed + expired + cancelled + lost + shed.
      *
-     * @return merged metrics across replicas.
+     * @return merged metrics across replicas (every replay so far).
      */
     Metrics run_workload(const std::vector<RequestSpec>& workload);
 
@@ -132,8 +124,7 @@ class Router
 
     /**
      * Install a fault-injection schedule and recovery policy for the next
-     * `run_workload` (the lockstep `run_until`/`submit`/`drain` path does
-     * not replay faults). The schedule is materialized against this
+     * `run_workload`. The schedule is materialized against this
      * router's replicas — rank addresses resolve to whole engines, so one
      * lost rank stalls its entire SP x TP group — and every fault becomes
      * an event on the replay's cluster timeline. With an empty schedule
@@ -177,8 +168,10 @@ class Router
 
     /**
      * @return lifecycle-outcome counters from the last `run_workload`.
-     * When any lifecycle feature was active, conservation holds:
-     * submitted = completed + lost + shed + expired + cancelled.
+     * `completed` is tallied only when a lifecycle feature was active
+     * (any deadline, a cancel stream, hedging or breakers), so a
+     * feature-off replay reports no overload section; conservation is
+     * asserted on every replay from the flight table either way.
      */
     const OverloadStats& overload_stats() const { return overload_stats_; }
 
@@ -194,7 +187,7 @@ class Router
 
     /**
      * Publish routing decisions to `sink` (borrowed, may be null): each
-     * `submit` emits a `kRouted` lifecycle event under the chosen
+     * routed request emits a `kRouted` lifecycle event under the chosen
      * replica's trace id.
      */
     void set_trace(obs::TraceSink* sink) { trace_ = sink; }
@@ -226,7 +219,6 @@ class Router
      * Route one request at time `t` during a cluster replay: shed when
      * the degraded-mode guard says so, otherwise submit to the selected
      * replica, falling into the retry path when every replica is down.
-     * Identical to `submit` when no faults are configured.
      */
     void admit(const RequestSpec& spec, RequestId id, double t);
 
@@ -247,7 +239,7 @@ class Router
     void schedule_retry(const RequestSpec& spec, RequestId id, double t);
 
     /** @return true when the degraded-mode guard sheds this arrival. */
-    bool should_shed(double t) const;
+    bool should_shed() const;
 
     /** Publish a request lifecycle event on the router's trace. */
     void publish(obs::EngineId engine, RequestId id, obs::RequestPhase phase,
@@ -270,6 +262,7 @@ class Router
     struct Flight
     {
         FlightOutcome outcome = FlightOutcome::kInFlight;
+        int attempts = 0;           ///< fault retries so far
         bool hedged = false;        ///< a clone copy was submitted
         bool primary_live = false;  ///< primary copy sits on some replica
         bool clone_live = false;    ///< hedge clone sits on some replica
@@ -293,7 +286,7 @@ class Router
     };
 
     /**
-     * Engine on_finish hook while lifecycle features are active.
+     * Engine on_finish hook: settle the finished copy's flight.
      * @return false when this finish is a duplicate copy of an
      * already-settled request (a losing hedge copy that completed before
      * its cancel event) and must not be recorded in metrics.
@@ -301,7 +294,7 @@ class Router
     bool on_lifecycle_finish(std::size_t idx, const Request& r);
 
     /** Engine on_expire hook: settle an evicted copy's flight. */
-    void settle_expired(std::size_t idx, RequestId id, double t);
+    void settle_expired(RequestId id);
 
     /** Client abort of request `id` at time `t` (cancel-stream event). */
     void do_cancel(RequestId id, double t);
@@ -316,8 +309,8 @@ class Router
     /** Record a copy landing on replica `pick` (liveness + probe mark). */
     void note_submit(std::size_t pick, RequestId id);
 
-    /** Bump `shiftpar_request_outcome_total{outcome=...}` (lifecycle
-     *  paths only, so feature-off runs never touch the registry). */
+    /** Bump `shiftpar_request_outcome_total{outcome=...}`; a no-op on
+     *  feature-off replays, which never touch the registry. */
     void count_outcome(const char* outcome, std::int64_t n = 1) const;
 
     /** Feed one completion into replica `idx`'s breaker; trip/close. */
@@ -354,16 +347,16 @@ class Router
     ResilienceOptions resilience_;
     fault::FaultStats fault_stats_;
     sim::Cluster* active_cluster_ = nullptr;  ///< replay-scoped borrow
-    std::unordered_map<RequestId, int> attempts_;  ///< retry counts
     /** Pending straggle/degrade restore events, cancelled on fail-stop. */
     std::vector<std::vector<sim::EventId>> pending_restores_;
 
     OverloadOptions overload_;
     std::vector<CancelEvent> cancels_;
     OverloadStats overload_stats_;
-    /** True while the current replay tracks flights (any deadline, a
-     *  cancel stream, hedging, or breakers). False = seed code path. */
-    bool lifecycle_active_ = false;
+    /** True when the current replay uses a lifecycle feature (any
+     *  deadline, a cancel stream, hedging, or breakers): only then are
+     *  outcome counters and `overload_stats_.completed` emitted. */
+    bool report_outcomes_ = false;
     std::vector<Flight> flights_;    ///< indexed by logical request id
     std::vector<Breaker> breakers_;  ///< one per replica when enabled
 };

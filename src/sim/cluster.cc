@@ -277,8 +277,7 @@ Cluster::run()
 
         if (te <= tc) {
             // Events win ties: an arrival at t precedes a step starting
-            // at t, exactly as the lockstep replay submitted before
-            // stepping (determinism rule 2).
+            // at t (determinism rule 2).
             SP_DEBUG_ASSERT(te >= now_, "event time ", te,
                             " behind the cluster clock ", now_);
             now_ = std::max(now_, te);

@@ -2,12 +2,16 @@
 
 #pragma once
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
 #include "hw/presets.h"
 #include "model/model_config.h"
 #include "obs/trace.h"
+#include "sim/cluster.h"
+#include "util/logging.h"
 
 namespace shiftpar::testing {
 
@@ -52,6 +56,39 @@ make_engine(const model::ModelConfig& m, engine::EngineConfig cfg)
     return std::make_unique<engine::Engine>(
         test_node(), m, cfg,
         std::make_unique<engine::FixedPolicy>(cfg.base));
+}
+
+/** A test action fired at a simulated time during `replay`. */
+using TimedAction = std::pair<double, std::function<void()>>;
+
+/**
+ * Run `engines` on one `sim::Cluster` until every request is done. Each
+ * action in `at` fires as a cluster event at its time, after every
+ * engine's clock has been moved up to that time (as the router does for
+ * an arrival): steps starting before it have run, steps starting at or
+ * after it have not. fatal()s when an engine is left with work it cannot
+ * make progress on, as `Router::run_workload` does.
+ */
+inline void
+replay(const std::vector<engine::Engine*>& engines,
+       const std::vector<TimedAction>& at = {})
+{
+    sim::Cluster cluster;
+    for (engine::Engine* e : engines)
+        cluster.add(e);
+    for (const TimedAction& a : at) {
+        cluster.post(a.first, [&engines, &a] {
+            for (engine::Engine* e : engines)
+                e->advance_clock_to(a.first);
+            a.second();
+        });
+    }
+    cluster.run();
+    for (const engine::Engine* e : engines) {
+        if (e->has_work())
+            fatal("replay deadlocked: an engine still holds unfinished "
+                  "requests its KV cache cannot admit");
+    }
 }
 
 /**

@@ -115,7 +115,7 @@ TEST(ContextWindow, OverlongRequestRejected)
     d.model.max_context = 4096;
     d.strategy = parallel::Strategy::kTp;
     auto router = core::build(d);
-    EXPECT_DEATH(router->submit({0.0, 4000, 200}, 1), "context window");
+    EXPECT_DEATH(router->run_workload({{0.0, 4000, 200}}), "context window");
 }
 
 } // namespace

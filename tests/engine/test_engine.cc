@@ -11,6 +11,7 @@ namespace shiftpar::engine {
 namespace {
 
 using shiftpar::testing::make_engine;
+using shiftpar::testing::replay;
 using shiftpar::testing::StepLog;
 using shiftpar::testing::test_node;
 using shiftpar::testing::tiny_model;
@@ -21,7 +22,7 @@ TEST(Engine, SingleRequestLifecycle)
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({0.0, 1000, 10}, 1);
     EXPECT_TRUE(e->has_work());
-    e->drain();
+    replay({e.get()});
     EXPECT_FALSE(e->has_work());
 
     const auto& reqs = e->metrics().requests();
@@ -41,7 +42,7 @@ TEST(Engine, TtftMatchesPerfModelPrediction)
     cfg.sched.max_batched_tokens = 1 << 20;  // single-chunk prefill
     auto e = make_engine(m, cfg);
     e->submit({0.0, 2048, 2}, 1);
-    e->drain();
+    replay({e.get()});
 
     const parallel::PerfModel perf(test_node(), m, cfg.perf);
     const double expected = perf.prefill_time(2048, cfg.base);
@@ -55,7 +56,7 @@ TEST(Engine, TpotMatchesDecodeStepTime)
     auto e = make_engine(m, cfg);
     const std::int64_t out = 11;
     e->submit({0.0, 256, out}, 1);
-    e->drain();
+    replay({e.get()});
 
     // With one lone request every decode step is batch 1; TPOT should be
     // within the range of the per-step decode times (context grows).
@@ -71,8 +72,7 @@ TEST(Engine, ArrivalDelayIsRespected)
 {
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({5.0, 100, 2}, 1);
-    e->run_until(5.0);
-    e->drain();
+    replay({e.get()});
     const auto& rec = e->metrics().requests()[0];
     // Wait should be ~zero: the engine was idle when it arrived.
     EXPECT_NEAR(rec.wait, 0.0, 1e-9);
@@ -85,7 +85,7 @@ TEST(Engine, QueueingShowsUpInWait)
     auto e = make_engine(tiny_model(), cfg);
     e->submit({0.0, 5000, 50}, 1);
     e->submit({0.0, 5000, 50}, 2);
-    e->drain();
+    replay({e.get()});
     const auto& reqs = e->metrics().requests();
     ASSERT_EQ(reqs.size(), 2u);
     // The second-served request queued behind the whole first request.
@@ -99,8 +99,7 @@ TEST(Engine, AllSubmittedRequestsFinishExactlyOnce)
     const int n = 40;
     for (int i = 0; i < n; ++i)
         e->submit({0.01 * i, 200 + 13 * i, 5 + i % 7}, i);
-    e->run_until(1.0);
-    e->drain();
+    replay({e.get()});
     EXPECT_EQ(e->metrics().requests().size(), static_cast<std::size_t>(n));
     // Token conservation: every prompt token and every output token except
     // the final sampled one (which never re-enters the model) is processed
@@ -119,7 +118,7 @@ TEST(Engine, StepRecordsAreTimeOrderedAndConsistent)
     auto e = make_engine(tiny_model(), cfg);
     for (int i = 0; i < 10; ++i)
         e->submit({0.0, 300, 8}, i);
-    e->drain();
+    replay({e.get()});
     ASSERT_FALSE(log.steps.empty());
     EXPECT_EQ(static_cast<std::int64_t>(log.steps.size()),
               e->metrics().sp_steps() + e->metrics().tp_steps());
@@ -146,7 +145,7 @@ TEST(Engine, ReusedWorkBufferPricesLikeFreshWork)
     auto e = make_engine(m, cfg);
     e->submit({0.0, 512, 3}, 1);
     e->submit({1e-6, 1024, 1}, 2);  // arrives during request 1's prefill
-    e->drain();
+    replay({e.get()});
 
     // Prefill 1 alone; decode 1 beside prefill 2 (which then finishes);
     // decode 1 alone.
@@ -205,7 +204,7 @@ TEST(Engine, TerminalRequestsAreFreed)
 
     e->submit({0.0, 100, 2}, 0);
     EXPECT_EQ(e->live_requests(), 1u);
-    e->drain();
+    replay({e.get()});
     EXPECT_EQ(e->metrics().requests().size(), 1u);
     EXPECT_EQ(e->live_requests(), 0u);  // finish
 
@@ -216,7 +215,7 @@ TEST(Engine, TerminalRequestsAreFreed)
     RequestSpec doomed{e->now(), 512, 512};
     doomed.deadline = e->now() + 1e-6;  // long before 512 output tokens
     e->submit(doomed, 2);
-    e->drain();
+    replay({e.get()});
     EXPECT_EQ(e->expired_count(), 1);
     EXPECT_EQ(e->live_requests(), 0u);  // expire
 
@@ -246,13 +245,16 @@ TEST(Engine, RequestRoutedBackAfterFailIsLiveAgain)
     // was freed, so nothing of it shadows the new one.
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({0.0, 1000, 100}, 0);
-    e->run_until(0.05);  // the first copy is scheduled before the fault
-    const auto dropped = e->fail(e->now());
-    ASSERT_EQ(dropped.size(), 1u);
-    e->recover(e->now());
-    e->submit(dropped[0].first, 0);
-    EXPECT_TRUE(e->queued_unscheduled(0));
-    EXPECT_TRUE(e->cancel(0));
+    const auto fail_and_route_back = [&] {
+        const auto dropped = e->fail(e->now());
+        ASSERT_EQ(dropped.size(), 1u);
+        e->recover(e->now());
+        e->submit(dropped[0].first, 0);
+        EXPECT_TRUE(e->queued_unscheduled(0));
+        EXPECT_TRUE(e->cancel(0));
+    };
+    // The first copy is scheduled before the fault.
+    replay({e.get()}, {{0.05, fail_and_route_back}});
     EXPECT_FALSE(e->has_work());
 }
 
@@ -287,9 +289,7 @@ TEST(Router, RoundRobinSpreadsRequests)
     for (int i = 0; i < 4; ++i)
         engines.push_back(make_engine(tiny_model(), cfg));
     Router router(std::move(engines), RoutingPolicy::kRoundRobin);
-    for (int i = 0; i < 8; ++i)
-        router.submit({0.0, 100, 2}, i);
-    router.drain();
+    router.run_workload(std::vector<RequestSpec>(8, {0.0, 100, 2}));
     for (std::size_t i = 0; i < router.size(); ++i)
         EXPECT_EQ(router.engine(i).metrics().requests().size(), 2u);
 }
@@ -302,10 +302,11 @@ TEST(Router, LeastTokensBalancesUnevenLoad)
     for (int i = 0; i < 2; ++i)
         engines.push_back(make_engine(tiny_model(), cfg));
     Router router(std::move(engines), RoutingPolicy::kLeastTokens);
-    router.submit({0.0, 10000, 100}, 0);  // heavy -> replica 0
-    router.submit({0.0, 100, 2}, 1);      // light -> replica 1
-    router.submit({0.0, 100, 2}, 2);      // replica 1 still lighter
-    router.drain();
+    router.run_workload({
+        {0.0, 10000, 100},  // heavy -> replica 0
+        {0.0, 100, 2},      // light -> replica 1
+        {0.0, 100, 2},      // replica 1 still lighter
+    });
     EXPECT_EQ(router.engine(0).metrics().requests().size(), 1u);
     EXPECT_EQ(router.engine(1).metrics().requests().size(), 2u);
 }

@@ -24,6 +24,7 @@ namespace {
 
 using fault::parse_fault_spec;
 using shiftpar::testing::make_engine;
+using shiftpar::testing::replay;
 using shiftpar::testing::tiny_model;
 
 /**
@@ -52,6 +53,30 @@ steady_arrivals(int n, double spacing = 0.01)
     for (int i = 0; i < n; ++i)
         reqs.push_back({spacing * i, 512, 32});
     return reqs;
+}
+
+/**
+ * A feature-off fault setup: engine 0 of two fail-stops for good at 0.05,
+ * its dropped requests are lost at once (no retries), and later arrivals
+ * are shed (one surviving replica of two is below the 0.75 watermark).
+ */
+void
+arm_lossy_fail_stop(Router& router)
+{
+    ResilienceOptions res;
+    res.max_retries = 0;
+    res.shed_watermark = 0.75;
+    router.set_faults(parse_fault_spec("fail:engine=0,at=0.05"), res);
+}
+
+/** @return the `shiftpar_request_outcome_total` series in `reg`. */
+std::size_t
+outcome_series(const obs::MetricsRegistry& reg)
+{
+    std::size_t n = 0;
+    for (const auto& c : reg.snapshot().counters)
+        n += c.name == "shiftpar_request_outcome_total" ? 1 : 0;
+    return n;
 }
 
 /** Left-hand side of the lifecycle conservation invariant. */
@@ -179,7 +204,7 @@ TEST(CancelStream, AbortOfAnExpiredDeadCopyIsRejectedNotFatal)
     RequestSpec doomed{0.0, 512, 512};
     doomed.deadline = 1e-6;  // expires long before 512 output tokens
     e.submit(doomed, 0);
-    e.drain();
+    replay({&e});
     EXPECT_EQ(e.expired_count(), 1);
     EXPECT_EQ(e.metrics().requests().size(), 0u);
     EXPECT_FALSE(e.cancel(0));
@@ -311,24 +336,46 @@ TEST(Drain, WithoutResumeTheSurvivorFinishesEverything)
 
 TEST(Lifecycle, DefaultOptionsAreBitIdenticalToPlainRouter)
 {
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry* prev =
+        obs::MetricsRegistry::set_thread_override(&reg);
     const auto reqs = steady_arrivals(40);
-    Router plain(replicas(2));
-    const auto a = plain.run_workload(reqs);
+    // Also through a fail-stop that loses and sheds requests: the flight
+    // table runs on every replay, but default options must not change
+    // what a replay reports.
+    for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(faulted);
+        Router plain(replicas(2));
+        Router armed(replicas(2));
+        if (faulted) {
+            arm_lossy_fail_stop(plain);
+            arm_lossy_fail_stop(armed);
+        }
+        const auto a = plain.run_workload(reqs);
 
-    Router armed(replicas(2));
-    armed.set_overload(OverloadOptions{});  // every knob at its default
-    armed.set_cancellations({});
-    const auto b = armed.run_workload(reqs);
+        armed.set_overload(OverloadOptions{});  // every knob at its default
+        armed.set_cancellations({});
+        const auto b = armed.run_workload(reqs);
 
-    EXPECT_FALSE(armed.overload_stats().any());
-    ASSERT_EQ(a.requests().size(), b.requests().size());
-    for (std::size_t i = 0; i < a.requests().size(); ++i) {
-        EXPECT_EQ(a.requests()[i].id, b.requests()[i].id);
-        EXPECT_EQ(a.requests()[i].ttft, b.requests()[i].ttft);
-        EXPECT_EQ(a.requests()[i].tpot, b.requests()[i].tpot);
-        EXPECT_EQ(a.requests()[i].completion, b.requests()[i].completion);
+        EXPECT_FALSE(armed.overload_stats().any());
+        if (faulted) {
+            EXPECT_GT(armed.fault_stats().lost, 0);
+            EXPECT_GT(armed.fault_stats().shed, 0);
+        }
+        ASSERT_EQ(a.requests().size(), b.requests().size());
+        for (std::size_t i = 0; i < a.requests().size(); ++i) {
+            EXPECT_EQ(a.requests()[i].id, b.requests()[i].id);
+            EXPECT_EQ(a.requests()[i].ttft, b.requests()[i].ttft);
+            EXPECT_EQ(a.requests()[i].tpot, b.requests()[i].tpot);
+            EXPECT_EQ(a.requests()[i].completion,
+                      b.requests()[i].completion);
+        }
+        EXPECT_EQ(a.end_time(), b.end_time());
     }
-    EXPECT_EQ(a.end_time(), b.end_time());
+    // Fault counters are emitted on every replay; outcome counters are
+    // not, since no lifecycle feature was in use.
+    EXPECT_EQ(outcome_series(reg), 0u);
+    obs::MetricsRegistry::set_thread_override(prev);
 }
 
 TEST(Lifecycle, FullStackReplayIsDeterministic)
@@ -387,6 +434,21 @@ TEST(Lifecycle, OutcomeCountersReachTheRegistryOnlyWhenActive)
         plain.run_workload(steady_arrivals(10));
     }
     EXPECT_TRUE(reg.empty());
+
+    // Feature-off replay through a fail-stop that loses and sheds
+    // requests: only the fault counters reach the registry.
+    {
+        Router faulted(replicas(2));
+        arm_lossy_fail_stop(faulted);
+        faulted.run_workload(steady_arrivals(20));
+        EXPECT_GT(faulted.fault_stats().lost, 0);
+        EXPECT_GT(faulted.fault_stats().shed, 0);
+        EXPECT_FALSE(faulted.overload_stats().any());
+    }
+    EXPECT_FALSE(reg.empty());
+    for (const auto& c : reg.snapshot().counters)
+        EXPECT_EQ(c.name.rfind("shiftpar_fault_", 0), 0u) << c.name;
+    EXPECT_EQ(outcome_series(reg), 0u);
 
     // Lifecycle replay: every outcome lands in the labeled counter.
     {

@@ -15,6 +15,7 @@ using engine::RequestSpec;
 using kvcache::CacheManager;
 using kvcache::KvLayout;
 using shiftpar::testing::make_engine;
+using shiftpar::testing::replay;
 using shiftpar::testing::tiny_model;
 using shiftpar::testing::tp8_engine_config;
 
@@ -123,7 +124,7 @@ TEST(PrefixEngine, SecondTurnTtftDropsWithCaching)
     RequestSpec t2{100.0, 41000, 4, 0, 40500};
     e->submit(t1, 1);
     e->submit(t2, 2);
-    e->drain();
+    replay({e.get()});
     const auto& reqs = e->metrics().requests();
     ASSERT_EQ(reqs.size(), 2u);
     // Turn 2 prefills only ~1k fresh tokens; its TTFT must be far below
@@ -139,7 +140,7 @@ TEST(PrefixEngine, CachingDisabledKeepsFullPrefill)
     auto e = make_engine(tiny_model(), cfg);
     e->submit({0.0, 4500, 4, 0, 4000}, 1);
     e->submit({100.0, 5000, 4, 0, 4500}, 2);
-    e->drain();
+    replay({e.get()});
     EXPECT_EQ(e->cache().prefix_hit_tokens(), 0);
     const auto& reqs = e->metrics().requests();
     // Without caching the longer second prompt takes longer.
@@ -161,7 +162,7 @@ TEST(PrefixEngine, TokensProcessedDropWithCaching)
         engine::RequestId id = 0;
         for (const auto& r : reqs)
             e->submit(r, id++);
-        e->drain();
+        replay({e.get()});
         return e->metrics().total_tokens();
     };
     const auto with_cache = run(true);
@@ -177,7 +178,7 @@ TEST(PrefixEngine, ConcurrentSharersAllFinish)
     for (int i = 0; i < 12; ++i)
         e->submit({0.0, 3000, 8, /*prefix_id=*/5, /*prefix_tokens=*/2500},
                   i);
-    e->drain();
+    replay({e.get()});
     EXPECT_EQ(e->metrics().requests().size(), 12u);
     EXPECT_EQ(e->cache().num_requests(), 0u);
 }
@@ -225,7 +226,7 @@ TEST(PrefixEngine, PreemptedFillerResumesFromEntry)
         e->submit({0.1 * i, 20000, 16, /*prefix_id=*/3,
                    /*prefix_tokens=*/18000},
                   i);
-    e->drain();
+    replay({e.get()});
     EXPECT_EQ(e->metrics().requests().size(), 16u);
     // The shared 18k prefix was served from cache many times over.
     EXPECT_GT(e->cache().prefix_hit_tokens(), 15 * 15000);

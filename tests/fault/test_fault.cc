@@ -15,6 +15,7 @@ namespace shiftpar::fault {
 namespace {
 
 using shiftpar::testing::make_engine;
+using shiftpar::testing::replay;
 using shiftpar::testing::tiny_model;
 
 // ---------------------------------------------------------------- parsing
@@ -202,7 +203,7 @@ TEST(EngineFault, FailDropsInFlightWorkAndStopsTheClock)
     e->recover(1.5);
     EXPECT_FALSE(e->failed());
     e->submit({1.5, 512, 16}, 2);  // a recovered engine accepts work again
-    e->drain();
+    replay({e.get()});
     EXPECT_EQ(e->metrics().requests().size(), 1u);
 }
 

@@ -78,13 +78,7 @@ TEST_P(EngineFuzz, InvariantsHoldOnRandomRuns)
     d.trace = &log;
 
     auto router = core::build(d);
-    engine::RequestId id = 0;
-    for (const auto& r : reqs) {
-        router->run_until(r.arrival);
-        router->submit(r, id++);
-    }
-    router->drain();
-    const engine::Metrics met = router->merged_metrics();
+    const engine::Metrics met = router->run_workload(reqs);
 
     // 1. Conservation: every request finished exactly once.
     ASSERT_EQ(met.requests().size(), reqs.size());

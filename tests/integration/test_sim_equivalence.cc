@@ -1,23 +1,29 @@
 /**
  * @file
- * Proof that the discrete-event cluster replay is bit-identical to the
- * historical lockstep replay.
+ * Pinned reference replays of the discrete-event cluster core.
  *
- * `Router::run_workload` now drives every replica as a `sim::Component`
- * on one event queue. For single-engine and pure-DP deployments (no
- * migration) that must change *nothing*: the same requests take the same
- * steps at the same times on the same replicas. This test replays the
- * same workload both ways — through the cluster core and through the
- * pre-refactor lockstep loop (advance everyone to each arrival, submit,
- * drain), which survives as `Router::run_until`/`submit`/`drain` — and
- * requires exact equality of every request record, every engine's step
- * sequence, and the serialized run report, byte for byte.
+ * `Router::run_workload` drives every replica as a `sim::Component` on
+ * one event queue. For single-engine and pure-DP deployments (no
+ * migration) the result is exactly the lockstep replay the simulator
+ * used before the cluster core existed: advance every replica to each
+ * arrival, submit, drain. Each test replays one workload through the
+ * cluster and compares three FNV-1a digests against pinned constants:
+ * every request record, every engine's step sequence, and the serialized
+ * run report, all bit for bit.
+ *
+ * The constants were computed from the lockstep loop
+ * (`Router::run_until`/`submit`/`drain`) before that loop was deleted,
+ * and the cluster replay produced the same digests at that commit. A
+ * mismatch therefore means the replay's output moved, not only that two
+ * drive loops disagree.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/test_helpers.h"
@@ -64,135 +70,150 @@ build_replicas(int count, int tp, StepLog& log)
     return engines;
 }
 
-/** The pre-refactor lockstep replay, verbatim. */
-Metrics
-lockstep_replay(Router& router, const std::vector<RequestSpec>& workload)
+/** 64-bit FNV-1a; numbers are hashed as their little-endian bytes. */
+class Fnv1a
 {
-    std::vector<RequestSpec> sorted = workload;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const RequestSpec& a, const RequestSpec& b) {
-                         return a.arrival < b.arrival;
-                     });
-    RequestId id = 0;
-    for (const auto& spec : sorted) {
-        router.run_until(spec.arrival);
-        router.submit(spec, id++);
+  public:
+    void
+    u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<unsigned char>(v >> (8 * i)));
     }
-    router.drain();
-    return router.merged_metrics();
-}
 
-/**
- * The cluster and lockstep paths interleave DP replicas' steps
- * differently, so step sequences are compared per engine.
- */
-void
-expect_identical(const Metrics& a, const StepLog& a_log, const Metrics& b,
-                 const StepLog& b_log, int engines)
-{
-    ASSERT_EQ(a.requests().size(), b.requests().size());
-    for (std::size_t i = 0; i < a.requests().size(); ++i) {
-        const RequestRecord& x = a.requests()[i];
-        const RequestRecord& y = b.requests()[i];
-        EXPECT_EQ(x.id, y.id);
-        EXPECT_EQ(x.arrival, y.arrival);          // exact, not approximate
-        EXPECT_EQ(x.prompt_tokens, y.prompt_tokens);
-        EXPECT_EQ(x.output_tokens, y.output_tokens);
-        EXPECT_EQ(x.ttft, y.ttft);
-        EXPECT_EQ(x.tpot, y.tpot);
-        EXPECT_EQ(x.completion, y.completion);
-        EXPECT_EQ(x.wait, y.wait);
-        EXPECT_EQ(x.preemptions, y.preemptions);
+    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+
+    /** Exact: the bit pattern, not a rounded decimal. */
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+    void
+    bytes(std::string_view s)
+    {
+        for (const char c : s)
+            byte(static_cast<unsigned char>(c));
     }
-    ASSERT_EQ(a_log.steps.size(), b_log.steps.size());
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    void
+    byte(unsigned char b)
+    {
+        h_ ^= b;
+        h_ *= 1099511628211ULL;
+    }
+
+    std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+/** Digests of one replay's three observable outputs. */
+struct Digests
+{
+    std::uint64_t records = 0;
+    std::uint64_t steps = 0;
+    std::uint64_t report = 0;
+};
+
+Digests
+digest(const Metrics& m, const StepLog& log, int engines)
+{
+    Digests d;
+    Fnv1a records;
+    for (const RequestRecord& r : m.requests()) {
+        records.i64(r.id);
+        records.f64(r.arrival);
+        records.i64(r.prompt_tokens);
+        records.i64(r.output_tokens);
+        records.f64(r.ttft);
+        records.f64(r.tpot);
+        records.f64(r.completion);
+        records.f64(r.wait);
+        records.i64(r.preemptions);
+    }
+    d.records = records.value();
+
+    // Replicas' steps interleave in the shared log, so each engine's
+    // sequence is hashed on its own, prefixed by its length.
+    Fnv1a steps;
     for (int e = 0; e < engines; ++e) {
-        SCOPED_TRACE(e);
-        const auto xs = a_log.of(e);
-        const auto ys = b_log.of(e);
-        ASSERT_EQ(xs.size(), ys.size());
-        for (std::size_t i = 0; i < xs.size(); ++i) {
-            EXPECT_EQ(xs[i].start, ys[i].start);
-            EXPECT_EQ(xs[i].end, ys[i].end);
-            EXPECT_EQ(xs[i].batched_tokens, ys[i].batched_tokens);
-            EXPECT_EQ(xs[i].num_seqs, ys[i].num_seqs);
+        const auto xs = log.of(e);
+        steps.u64(xs.size());
+        for (const obs::StepEvent& s : xs) {
+            steps.f64(s.start);
+            steps.f64(s.end);
+            steps.i64(s.batched_tokens);
+            steps.i64(s.num_seqs);
         }
     }
-    // The serialized run report is the external contract: identical bytes.
-    obs::ReportJson ra("equivalence");
-    ra.add_run("run", a);
-    obs::ReportJson rb("equivalence");
-    rb.add_run("run", b);
-    std::ostringstream sa, sb;
-    ra.write(sa);
-    rb.write(sb);
-    EXPECT_EQ(sa.str(), sb.str());
+    d.steps = steps.value();
+
+    // The serialized run report is the external contract.
+    obs::ReportJson report("equivalence");
+    report.add_run("run", m);
+    std::ostringstream os;
+    report.write(os);
+    Fnv1a bytes;
+    bytes.bytes(os.str());
+    d.report = bytes.value();
+    return d;
+}
+
+void
+expect_pinned(const Digests& got, const Digests& pinned)
+{
+    EXPECT_EQ(got.records, pinned.records) << "request records moved";
+    EXPECT_EQ(got.steps, pinned.steps) << "engine step sequences moved";
+    EXPECT_EQ(got.report, pinned.report) << "serialized report moved";
 }
 
 TEST(SimEquivalence, SingleEngineMatchesLockstepBitForBit)
 {
-    const auto workload = mixed_workload(60);
-    StepLog cluster_log, lockstep_log;
-    Router cluster_router(build_replicas(1, 4, cluster_log));
-    const Metrics via_cluster = cluster_router.run_workload(workload);
-
-    Router lockstep_router(build_replicas(1, 4, lockstep_log));
-    const Metrics via_lockstep = lockstep_replay(lockstep_router, workload);
-
-    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
-                     1);
-    EXPECT_EQ(cluster_router.migration_count(), 0);
+    StepLog log;
+    Router router(build_replicas(1, 4, log));
+    const Metrics met = router.run_workload(mixed_workload(60));
+    EXPECT_EQ(router.migration_count(), 0);
+    expect_pinned(digest(met, log, 1),
+                  {0x69e3e61b58e1f014ULL, 0x04969aa7ec2e6342ULL,
+                   0xf14b3a8df0c46005ULL});
 }
 
 TEST(SimEquivalence, EightReplicaDpMatchesLockstepBitForBit)
 {
-    const auto workload = mixed_workload(120);
-    StepLog cluster_log, lockstep_log;
-    Router cluster_router(build_replicas(8, 1, cluster_log),
-                          RoutingPolicy::kLeastTokens);
-    const Metrics via_cluster = cluster_router.run_workload(workload);
-
-    Router lockstep_router(build_replicas(8, 1, lockstep_log),
-                           RoutingPolicy::kLeastTokens);
-    const Metrics via_lockstep = lockstep_replay(lockstep_router, workload);
-
-    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
-                     8);
+    StepLog log;
+    Router router(build_replicas(8, 1, log), RoutingPolicy::kLeastTokens);
+    const Metrics met = router.run_workload(mixed_workload(120));
+    expect_pinned(digest(met, log, 8),
+                  {0x424cf031c0f88e10ULL, 0x5a822e23ace88ee0ULL,
+                   0x3886e41b2283c2d1ULL});
 }
 
 TEST(SimEquivalence, RoundRobinDpMatchesLockstepBitForBit)
 {
     // Round-robin routing is sensitive to submission *order* alone, so it
     // doubles as a check that cluster arrival events keep posting order.
-    const auto workload = mixed_workload(80);
-    StepLog cluster_log, lockstep_log;
-    Router cluster_router(build_replicas(4, 2, cluster_log),
-                          RoutingPolicy::kRoundRobin);
-    const Metrics via_cluster = cluster_router.run_workload(workload);
-
-    Router lockstep_router(build_replicas(4, 2, lockstep_log),
-                           RoutingPolicy::kRoundRobin);
-    const Metrics via_lockstep = lockstep_replay(lockstep_router, workload);
-
-    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
-                     4);
+    StepLog log;
+    Router router(build_replicas(4, 2, log), RoutingPolicy::kRoundRobin);
+    const Metrics met = router.run_workload(mixed_workload(80));
+    expect_pinned(digest(met, log, 4),
+                  {0xf9251b65a5c839bfULL, 0x9acdf6e6b85827d8ULL,
+                   0x8598262296b76f2bULL});
 }
 
 TEST(SimEquivalence, MigrationOffByDefaultEvenWhenImbalanced)
 {
     // A pathological workload (everything lands on one replica's watch)
-    // must still replay identically when migration is not requested.
+    // must still replay as the lockstep loop did when migration is not
+    // requested.
     std::vector<RequestSpec> reqs;
     for (int i = 0; i < 30; ++i)
         reqs.push_back({0.001 * i, 4096, 64});
-    StepLog cluster_log, lockstep_log;
-    Router cluster_router(build_replicas(2, 4, cluster_log));
-    const Metrics via_cluster = cluster_router.run_workload(reqs);
-    EXPECT_EQ(cluster_router.migration_count(), 0);
-
-    Router lockstep_router(build_replicas(2, 4, lockstep_log));
-    const Metrics via_lockstep = lockstep_replay(lockstep_router, reqs);
-    expect_identical(via_cluster, cluster_log, via_lockstep, lockstep_log,
-                     2);
+    StepLog log;
+    Router router(build_replicas(2, 4, log));
+    const Metrics met = router.run_workload(reqs);
+    EXPECT_EQ(router.migration_count(), 0);
+    expect_pinned(digest(met, log, 2),
+                  {0xd12f949a8b85ef8dULL, 0x0a8992c4c2ba3074ULL,
+                   0xb67763197e722b84ULL});
 }
 
 } // namespace
