@@ -1,6 +1,8 @@
 #include "common/bench_common.h"
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -141,6 +143,22 @@ record_profile(const sim::ClusterProfile& prof)
                   static_cast<double>(util::peak_rss_bytes()));
 }
 
+/** @return `value` as a worker count; fatal unless all of it is an
+ *  integer in [1, INT_MAX]. */
+int
+parse_jobs(const char* value)
+{
+    errno = 0;
+    char* end = nullptr;
+    const long v = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || errno == ERANGE || v < 1 ||
+        v > INT_MAX) {
+        fatal(std::string("--jobs requires a positive worker count, got '") +
+              value + "'");
+    }
+    return static_cast<int>(v);
+}
+
 } // namespace
 
 void
@@ -158,9 +176,7 @@ init(int argc, char** argv)
         } else if (std::strcmp(arg, "--no-report") == 0) {
             o.report_enabled = false;
         } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-            o.jobs = std::atoi(argv[++i]);
-            if (o.jobs < 1)
-                fatal("--jobs requires a positive worker count");
+            o.jobs = parse_jobs(argv[++i]);
         } else if (std::strcmp(arg, "--profile") == 0) {
             o.profile = true;
         } else if (std::strcmp(arg, "--metrics-out") == 0 && i + 1 < argc) {

@@ -57,7 +57,7 @@ AutoTuner::candidates(const TuneOptions& options) const
                         base.mem);
                     if (!plan.fits() ||
                         plan.kv_pool_bytes <
-                            base.min_kv_fraction * node_.gpu.hbm_bytes)
+                            kMinKvFraction * node_.gpu.hbm_bytes)
                         continue;
                     Deployment d = base;
                     d.sp = sp;

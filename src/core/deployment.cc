@@ -12,7 +12,7 @@ namespace {
 
 /**
  * Smallest TP degree (power-of-two divisor of the node) at which the model
- * fits each GPU with at least `min_kv_fraction` of HBM left for KV cache.
+ * fits each GPU with at least `kMinKvFraction` of HBM left for KV cache.
  */
 int
 min_tp_that_fits(const Deployment& d, bool with_shift_model)
@@ -31,8 +31,7 @@ min_tp_that_fits(const Deployment& d, bool with_shift_model)
             d.model, d.node.gpu, full, with_shift_model && sp > 1, d.weights,
             d.mem);
         if (plan.fits() &&
-            plan.kv_pool_bytes >=
-                d.min_kv_fraction * d.node.gpu.hbm_bytes) {
+            plan.kv_pool_bytes >= kMinKvFraction * d.node.gpu.hbm_bytes) {
             return tp;
         }
     }

@@ -38,6 +38,10 @@
 
 namespace shiftpar::core {
 
+/** Minimum KV pool, as a fraction of HBM, that auto TP selection and the
+ *  autotuner's sweep require of a layout. */
+inline constexpr double kMinKvFraction = 0.25;
+
 /** A complete serving deployment description. */
 struct Deployment
 {
@@ -79,9 +83,6 @@ struct Deployment
 
     /** Metrics throughput-bin width, seconds. */
     double throughput_bin = 1.0;
-
-    /** Minimum KV pool as a fraction of HBM for auto TP selection. */
-    double min_kv_fraction = 0.25;
 
     /** Optional production features (Section 4.5). */
     std::optional<SwiftKv> swiftkv;

@@ -53,20 +53,7 @@ Engine::submit(const RequestSpec& spec, RequestId id, bool migrated_in)
               std::to_string(spec.prompt_tokens + spec.output_tokens) +
               " > " + std::to_string(model_.max_context) + " tokens");
     }
-    SP_ASSERT(!live_.contains(id), "request ", id, " is already live here");
-    auto req = std::make_unique<Request>();
-    req->id = id;
-    req->spec = spec;
-    req->prefill_target = spec.prompt_tokens;
-    req->migrated_in = migrated_in;
-    scheduler_.enqueue(req.get());
-    live_.emplace(id, std::move(req));
-    if (cfg_.trace) {
-        cfg_.trace->publish_request({cfg_.trace_id, id,
-                                obs::RequestPhase::kSubmit, spec.arrival,
-                                spec.prompt_tokens});
-    }
-    notify_ready_changed();
+    enqueue_new(spec, id, migrated_in, /*already_decoded=*/0);
 }
 
 void
@@ -76,20 +63,32 @@ Engine::submit_prefilled(const RequestSpec& spec, RequestId id,
     SP_ASSERT(spec.prompt_tokens >= 1 && spec.output_tokens >= 1);
     SP_ASSERT(already_decoded >= 1 && already_decoded < spec.output_tokens,
               "a prefilled request needs at least one token left to decode");
+    enqueue_new(spec, id, /*migrated_in=*/false, already_decoded);
+}
+
+void
+Engine::enqueue_new(const RequestSpec& spec, RequestId id, bool migrated_in,
+                    std::int64_t already_decoded)
+{
     SP_ASSERT(!live_.contains(id), "request ", id, " is already live here");
     auto req = std::make_unique<Request>();
     req->id = id;
     req->spec = spec;
     req->prefill_target = spec.prompt_tokens;
-    req->prefilled = spec.prompt_tokens;  // KV materialized on admission
-    req->decoded = already_decoded;
-    req->first_token = spec.arrival;  // produced by the prefill worker
+    req->migrated_in = migrated_in;
+    if (already_decoded > 0) {
+        // Prefilled elsewhere: the KV materializes on admission, and the
+        // prefill worker produced the first token.
+        req->prefilled = spec.prompt_tokens;
+        req->decoded = already_decoded;
+        req->first_token = spec.arrival;
+    }
     scheduler_.enqueue(req.get());
     live_.emplace(id, std::move(req));
     if (cfg_.trace) {
         cfg_.trace->publish_request({cfg_.trace_id, id,
-                                obs::RequestPhase::kSubmit, spec.arrival,
-                                spec.prompt_tokens});
+                                     obs::RequestPhase::kSubmit,
+                                     spec.arrival, spec.prompt_tokens});
     }
     notify_ready_changed();
 }
@@ -133,18 +132,24 @@ Engine::free_terminal(std::span<Request* const> done)
 }
 
 std::vector<std::pair<RequestSpec, RequestId>>
+Engine::hand_back(const std::vector<Request*>& done)
+{
+    std::vector<std::pair<RequestSpec, RequestId>> out;
+    out.reserve(done.size());
+    for (const Request* r : done)
+        out.emplace_back(r->spec, r->id);
+    free_terminal(done);
+    return out;
+}
+
+std::vector<std::pair<RequestSpec, RequestId>>
 Engine::start_drain(double t)
 {
     SP_ASSERT(!failed_, "start_drain on a failed engine");
     SP_ASSERT(!draining_, "start_drain on an already-draining engine");
     draining_ = true;
     now_ = std::max(now_, t);
-    std::vector<Request*> handed = scheduler_.drain_waiting();
-    std::vector<std::pair<RequestSpec, RequestId>> out;
-    out.reserve(handed.size());
-    for (const Request* r : handed)
-        out.emplace_back(r->spec, r->id);
-    free_terminal(handed);
+    auto out = hand_back(scheduler_.drain_waiting());
     if (cfg_.trace) {
         cfg_.trace->on_fault({cfg_.trace_id, obs::FaultKind::kDrainStart,
                               now_, 0.0, std::ssize(out)});
@@ -174,12 +179,7 @@ Engine::fail(double t)
     slowdown_ = 1.0;
     comm_multiplier_ = 1.0;
 
-    std::vector<Request*> dropped = scheduler_.fail_all();
-    std::vector<std::pair<RequestSpec, RequestId>> out;
-    out.reserve(dropped.size());
-    for (const Request* r : dropped)
-        out.emplace_back(r->spec, r->id);
-    free_terminal(dropped);
+    auto out = hand_back(scheduler_.fail_all());
 
     // HBM dies with the rank group: idle prefix entries (live ones were
     // just unpinned by the drop) are destroyed too, so a recovered engine

@@ -369,8 +369,18 @@ class Engine : public sim::Component
      */
     bool expire_now();
 
+    /** Shared tail of `submit` and `submit_prefilled`: build request
+     *  `id` (prefilled when `already_decoded` > 0), enqueue and publish. */
+    void enqueue_new(const RequestSpec& spec, RequestId id, bool migrated_in,
+                     std::int64_t already_decoded);
+
     /** Free requests just made terminal; Debug-check conservation. */
     void free_terminal(std::span<Request* const> done);
+
+    /** Free requests a drain or fail-stop removed; @return their
+     *  (spec, id) pairs in order. */
+    std::vector<std::pair<RequestSpec, RequestId>>
+    hand_back(const std::vector<Request*>& done);
 
     /** Record the eval counter + kernel-share histograms for one step. */
     void record_cost_metrics(

@@ -74,17 +74,15 @@ struct CancelEvent
 
 /**
  * Per-replica circuit breaker (closed -> open -> half-open). The router
- * keeps an EWMA of each replica's per-token service time; a replica whose
- * EWMA exceeds `trip_ratio` times the healthiest replica's trips open and
- * receives no traffic for `open_duration` seconds, then admits a single
- * probe request whose completion decides between closing and re-opening.
+ * keeps an EWMA of each replica's per-token service time (newest sample
+ * weighted 0.2); a replica whose EWMA exceeds `trip_ratio` times the
+ * healthiest replica's trips open and receives no traffic for
+ * `open_duration` seconds, then admits a single probe request whose
+ * completion decides between closing and re-opening.
  */
 struct CircuitBreakerOptions
 {
     bool enabled = false;
-
-    /** Weight of the newest sample in the health EWMA. */
-    double ewma_alpha = 0.2;
 
     /** Trip when ewma > trip_ratio x (fleet-minimum ewma). */
     double trip_ratio = 2.0;

@@ -106,11 +106,8 @@ Router::rebalance(double t)
     engines_[idlest]->advance_clock_to(t);
     engines_[idlest]->submit(spec, id, /*migrated_in=*/true);
     ++migrations_;
-    if (trace_) {
-        trace_->publish_request({engines_[idlest]->trace_id(), id,
-                                 obs::RequestPhase::kMigrated, t,
-                                 spec.prompt_tokens});
-    }
+    publish(engines_[idlest]->trace_id(), id, obs::RequestPhase::kMigrated, t,
+            spec.prompt_tokens);
 }
 
 void
@@ -127,23 +124,64 @@ Router::admit(const RequestSpec& spec, RequestId id, double t)
         return;
     }
     update_breakers(t);
-    const std::size_t pick = select_replica();
-    if (pick == engines_.size()) {
-        // Every replica is down: treat the arrival like a dropped request
-        // — the client backs off and retries against the outage.
-        schedule_retry(spec, id, t);
-        return;
-    }
-    engines_[pick]->submit(spec, id);
-    note_submit(pick, id);
-    publish(engines_[pick]->trace_id(), id, obs::RequestPhase::kRouted,
-            spec.arrival, spec.prompt_tokens);
+    if (!place(spec, id, t))
+        return;  // every replica is down: the retry path owns it
     if (overload_.hedge_delay > 0.0 && engines_.size() > 1) {
         const double when = t + overload_.hedge_delay;
         active_cluster_->post(when, [this, spec, id, when] {
             maybe_hedge(spec, id, when);
         });
     }
+}
+
+bool
+Router::place(const RequestSpec& spec, RequestId id, double t, bool drained)
+{
+    const std::size_t pick = select_replica();
+    if (pick == engines_.size()) {
+        // Every replica is down: treat the request like a dropped one —
+        // the client backs off and retries against the outage.
+        schedule_retry(spec, id, t);
+        return false;
+    }
+    Engine& e = *engines_[pick];
+    e.advance_clock_to(t);
+    e.submit(spec, id, /*migrated_in=*/drained);
+    note_submit(pick, id);
+    if (drained)
+        publish(e.trace_id(), id, obs::RequestPhase::kDrained, t);
+    publish(e.trace_id(), id, obs::RequestPhase::kRouted, t,
+            spec.prompt_tokens);
+    return true;
+}
+
+void
+Router::sync_clocks(double t)
+{
+    for (auto& e : engines_)
+        e->advance_clock_to(t);
+}
+
+bool
+Router::cancel_copy(RequestId id)
+{
+    for (auto& e : engines_) {
+        if (e->cancel(id))
+            return true;
+    }
+    return false;
+}
+
+Router::Flight&
+Router::retire_copy(RequestId id)
+{
+    Flight& f = flights_[static_cast<std::size_t>(logical_request_id(id))];
+    if (is_hedge_clone(id))
+        f.clone_live = false;
+    else
+        f.primary_live = false;
+    clear_breaker_probe(id);
+    return f;
 }
 
 bool
@@ -182,14 +220,8 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
 {
     SP_ASSERT(active_cluster_ != nullptr,
               "retries only run inside run_workload");
-    const RequestId logical = logical_request_id(id);
-    Flight& f = flights_[static_cast<std::size_t>(logical)];
     const bool clone = is_hedge_clone(id);
-    if (clone)
-        f.clone_live = false;
-    else
-        f.primary_live = false;
-    clear_breaker_probe(id);
+    Flight& f = retire_copy(id);
     if (f.outcome != FlightOutcome::kInFlight)
         return;  // settled while this copy was being dropped
     const bool other_lives = clone ? f.primary_live : f.clone_live;
@@ -203,7 +235,7 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
         return;
     }
     // Every copy is gone: the retry targets the logical request.
-    id = logical;
+    id = logical_request_id(id);
     const int attempt = ++f.attempts;
     if (attempt > resilience_.max_retries) {
         ++fault_stats_.lost;
@@ -228,20 +260,12 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
         if (flights_[static_cast<std::size_t>(id)].outcome !=
             FlightOutcome::kInFlight)
             return;  // cancelled/expired while waiting out the backoff
-        for (auto& e : engines_)
-            e->advance_clock_to(when);
+        sync_clocks(when);
         update_breakers(when);
-        const std::size_t pick = select_replica();
-        if (pick == engines_.size()) {
-            schedule_retry(spec, id, when);  // outage persists: back off
-            return;
-        }
         // The original arrival rides along in `spec`, so the retried
-        // request's TTFT includes the outage it sat through.
-        engines_[pick]->submit(spec, id);
-        note_submit(pick, id);
-        publish(engines_[pick]->trace_id(), id, obs::RequestPhase::kRouted,
-                when, spec.prompt_tokens);
+        // request's TTFT includes the outage it sat through. A persisting
+        // outage backs off again.
+        place(spec, id, when);
     });
 }
 
@@ -340,24 +364,10 @@ Router::arm_faults(sim::Cluster* cluster)
                 const auto handed = engines_[idx]->start_drain(ev.at);
                 overload_stats_.drained +=
                     static_cast<std::int64_t>(handed.size());
-                for (const auto& [spec, id] : handed) {
-                    // Each handed-back request re-routes like a migration:
-                    // it keeps its id and arrival, so its TTFT accrues
-                    // the detour.
-                    const std::size_t pick = select_replica();
-                    if (pick == engines_.size()) {
-                        schedule_retry(spec, id, ev.at);
-                        continue;
-                    }
-                    engines_[pick]->advance_clock_to(ev.at);
-                    engines_[pick]->submit(spec, id, /*migrated_in=*/true);
-                    note_submit(pick, id);
-                    publish(engines_[pick]->trace_id(), id,
-                            obs::RequestPhase::kDrained, ev.at);
-                    publish(engines_[pick]->trace_id(), id,
-                            obs::RequestPhase::kRouted, ev.at,
-                            spec.prompt_tokens);
-                }
+                // Each handed-back request re-routes like a migration: it
+                // keeps its id and arrival, so its TTFT accrues the detour.
+                for (const auto& [spec, id] : handed)
+                    place(spec, id, ev.at, /*drained=*/true);
                 if (std::isfinite(ev.recover_at)) {
                     const auto resume_at = ev.recover_at;
                     active_cluster_->post(resume_at, [this, idx,
@@ -445,8 +455,7 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
     for (std::size_t i = 0; i < sorted.size(); ++i) {
         const RequestSpec& spec = sorted[i];
         cluster.post(spec.arrival, [this, &spec, i] {
-            for (auto& e : engines_)
-                e->advance_clock_to(spec.arrival);
+            sync_clocks(spec.arrival);
             admit(spec, static_cast<RequestId>(i), spec.arrival);
         });
     }
@@ -511,14 +520,9 @@ Router::on_lifecycle_finish(std::size_t idx, const Request& r)
 {
     const RequestId logical = logical_request_id(r.id);
     const bool clone = is_hedge_clone(r.id);
-    Flight& f = flights_[static_cast<std::size_t>(logical)];
     if (!breakers_.empty())
         record_breaker_sample(idx, r);
-    if (clone)
-        f.clone_live = false;
-    else
-        f.primary_live = false;
-    clear_breaker_probe(r.id);
+    Flight& f = retire_copy(r.id);
     if (f.outcome != FlightOutcome::kInFlight) {
         // The sibling hedge copy already completed and this finish raced
         // the loser-cancel event: resolve the loss here instead, and
@@ -561,13 +565,7 @@ Router::on_lifecycle_finish(std::size_t idx, const Request& r)
 void
 Router::settle_expired(RequestId id)
 {
-    const RequestId logical = logical_request_id(id);
-    Flight& f = flights_[static_cast<std::size_t>(logical)];
-    if (is_hedge_clone(id))
-        f.clone_live = false;
-    else
-        f.primary_live = false;
-    clear_breaker_probe(id);
+    Flight& f = retire_copy(id);
     if (f.outcome != FlightOutcome::kInFlight)
         return;
     if (f.primary_live || f.clone_live)
@@ -583,22 +581,10 @@ Router::do_cancel(RequestId id, double t)
     Flight& f = flights_[static_cast<std::size_t>(id)];
     if (f.outcome != FlightOutcome::kInFlight)
         return;  // finished/expired/lost/shed before the abort arrived
-    for (auto& e : engines_)
-        e->advance_clock_to(t);
-    bool closed = false;
-    for (auto& e : engines_) {
-        if (e->cancel(id)) {
-            closed = true;
-            break;
-        }
-    }
-    if (f.clone_live) {
-        for (auto& e : engines_) {
-            if (e->cancel(id + kHedgeIdOffset))
-                break;
-        }
-        f.clone_live = false;
-    }
+    sync_clocks(t);
+    const bool closed = cancel_copy(id);
+    if (f.clone_live)
+        cancel_copy(id + kHedgeIdOffset);
     if (!closed) {
         // Retry limbo: the request is on no engine right now (dropped by
         // a failure, waiting out its backoff). The pending retry closure
@@ -607,12 +593,11 @@ Router::do_cancel(RequestId id, double t)
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kCancel,
                 t);
     }
-    f.primary_live = false;
+    retire_copy(id);
+    retire_copy(id + kHedgeIdOffset);
     f.outcome = FlightOutcome::kCancelled;
     ++overload_stats_.cancelled;
     count_outcome("cancelled");
-    clear_breaker_probe(id);
-    clear_breaker_probe(id + kHedgeIdOffset);
 }
 
 void
@@ -650,8 +635,7 @@ Router::maybe_hedge(const RequestSpec& spec, RequestId id, double when)
     }
     if (target == engines_.size())
         return;
-    for (auto& e : engines_)
-        e->advance_clock_to(when);
+    sync_clocks(when);
     f.hedged = true;
     ++overload_stats_.hedges;
     count_outcome("hedged");
@@ -674,23 +658,15 @@ Router::resolve_hedge_loser(RequestId logical, RequestId loser,
     const bool clone = is_hedge_clone(loser);
     if (!(clone ? f.clone_live : f.primary_live))
         return;  // resolved in the meantime (raced finish or a drop)
-    for (auto& e : engines_)
-        e->advance_clock_to(when);
+    sync_clocks(when);
     // Marker first so it lands inside the loser's still-open span; the
     // engine-side cancel then closes the span.
     publish(engines_[0]->trace_id(), loser, obs::RequestPhase::kHedgeLost,
             when);
-    for (auto& e : engines_) {
-        if (e->cancel(loser))
-            break;
-    }
-    if (clone)
-        f.clone_live = false;
-    else
-        f.primary_live = false;
+    cancel_copy(loser);
+    retire_copy(loser);
     ++overload_stats_.hedge_losses;
     count_outcome("hedge_lost");
-    clear_breaker_probe(loser);
 }
 
 double
@@ -718,9 +694,11 @@ Router::record_breaker_sample(std::size_t idx, const Request& r)
     // time is excluded so a deep queue alone does not read as sickness,
     // but a straggling replica's slowdown shows up directly.
     const double sample = (r.finished - r.first_scheduled) / tokens;
-    const double alpha = overload_.breaker.ewma_alpha;
-    b.ewma = b.samples == 0 ? sample
-                            : alpha * sample + (1.0 - alpha) * b.ewma;
+    // Weight of the newest sample in the health EWMA.
+    constexpr double kEwmaAlpha = 0.2;
+    b.ewma = b.samples == 0
+                 ? sample
+                 : kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * b.ewma;
     ++b.samples;
     const double t = r.finished;
     if (b.state == Breaker::State::kClosed) {

@@ -222,6 +222,21 @@ class Router
      */
     void admit(const RequestSpec& spec, RequestId id, double t);
 
+    /**
+     * Route a request onto the selected replica (synced to `t`), record
+     * the copy and publish kRouted (after kDrained for a drain hand-back,
+     * which enters as migrated). @return false when every replica is
+     * down and the request backs off through `schedule_retry` instead.
+     */
+    bool place(const RequestSpec& spec, RequestId id, double t,
+               bool drained = false);
+
+    /** Advance every replica's clock to `t`. */
+    void sync_clocks(double t);
+
+    /** Cancel copy `id` wherever it is; @return false when nowhere. */
+    bool cancel_copy(RequestId id);
+
     /** Post the materialized fault schedule onto the replay timeline. */
     void arm_faults(sim::Cluster* cluster);
 
@@ -308,6 +323,10 @@ class Router
 
     /** Record a copy landing on replica `pick` (liveness + probe mark). */
     void note_submit(std::size_t pick, RequestId id);
+
+    /** Mark copy `id` no longer live and clear a breaker probe it held;
+     *  @return its logical request's flight. */
+    Flight& retire_copy(RequestId id);
 
     /** Bump `shiftpar_request_outcome_total{outcome=...}`; a no-op on
      *  feature-off replays, which never touch the registry. */

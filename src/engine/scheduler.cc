@@ -109,8 +109,7 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
                     return true;
                 });
             }
-            cache_->release(victim->id);
-            detach_prefix_if_attached(victim);
+            retire(victim);
             victim->reset_for_recompute();
             running_.erase(std::next(it).base());
             insert_waiting(victim, /*front_of_class=*/true);
@@ -292,42 +291,56 @@ Scheduler::cancel(Request* r)
         SP_ASSERT(it != running_.end(), "running request not in queue");
         running_.erase(it);
     }
-    cache_->release(r->id);
-    detach_prefix_if_attached(r);
+    retire(r);
     r->state = RequestState::kCancelled;
+}
+
+void
+Scheduler::retire(Request* r)
+{
+    cache_->release(r->id);
+    if (!r->prefix_attached)
+        return;
+    cache_->detach_prefix(r->spec.prefix_id);
+    r->prefix_attached = false;
+    r->filling_prefix = false;
+}
+
+template <typename Pred>
+std::vector<Request*>
+Scheduler::take_if(Pred pred)
+{
+    std::vector<Request*> taken;
+    auto kept = running_.begin();
+    for (Request* r : running_) {
+        if (pred(r)) {
+            retire(r);
+            taken.push_back(r);
+        } else {
+            *kept++ = r;
+        }
+    }
+    running_.erase(kept, running_.end());
+    for (auto it = waiting_.begin(); it != waiting_.end();) {
+        if (!pred(*it)) {
+            ++it;
+            continue;
+        }
+        retire(*it);
+        taken.push_back(*it);
+        it = erase_waiting(it);
+    }
+    return taken;
 }
 
 std::vector<Request*>
 Scheduler::expire_due(double now)
 {
-    std::vector<Request*> expired;
     if (!has_deadlines_)
-        return expired;
-    auto due = [&](const Request* r) {
+        return {};
+    std::vector<Request*> expired = take_if([now](const Request* r) {
         return r->spec.deadline > 0.0 && r->spec.deadline <= now;
-    };
-    for (auto it = running_.begin(); it != running_.end();) {
-        Request* r = *it;
-        if (!due(r)) {
-            ++it;
-            continue;
-        }
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        it = running_.erase(it);
-        expired.push_back(r);
-    }
-    for (auto it = waiting_.begin(); it != waiting_.end();) {
-        Request* r = *it;
-        if (!due(r)) {
-            ++it;
-            continue;
-        }
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        it = erase_waiting(it);
-        expired.push_back(r);
-    }
+    });
     for (Request* r : expired) {
         r->state = RequestState::kExpired;
         publish(r, obs::RequestPhase::kExpired, now);
@@ -353,43 +366,22 @@ Scheduler::earliest_deadline() const
 std::vector<Request*>
 Scheduler::drain_waiting()
 {
-    std::vector<Request*> removed;
-    removed.reserve(waiting_.size());
-    // A waiting request can hold cache state (prefix attached at the
-    // admission gate); release it here so it re-enters another replica
-    // clean, same as fail_all().
-    for (Request* r : waiting_) {
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
+    // Only waiting requests are kWaiting. They can hold cache state (a
+    // prefix attached at the admission gate); retiring it here lets them
+    // re-enter another replica clean.
+    std::vector<Request*> removed = take_if([](const Request* r) {
+        return r->state == RequestState::kWaiting;
+    });
+    for (Request* r : removed)
         r->state = RequestState::kMigrated;
-        removed.push_back(r);
-    }
-    waiting_.clear();
-    waiting_prefilled_ = 0;
     return removed;
 }
 
 std::vector<Request*>
 Scheduler::fail_all()
 {
-    std::vector<Request*> dropped;
-    dropped.reserve(running_.size() + waiting_.size());
-    for (Request* r : running_) {
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        dropped.push_back(r);
-    }
-    running_.clear();
-    // Waiting requests can hold KV too: a schedule() pass attaches a
-    // prefix (and may fill it) before admission succeeds, so a request
-    // blocked at the admission gate keeps its attachment in the queue.
-    for (Request* r : waiting_) {
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        dropped.push_back(r);
-    }
-    waiting_.clear();
-    waiting_prefilled_ = 0;
+    std::vector<Request*> dropped =
+        take_if([](const Request*) { return true; });
     for (Request* r : dropped)
         r->state = RequestState::kLost;
     return dropped;
@@ -442,16 +434,6 @@ Scheduler::attach_prefix_if_needed(Request* r)
     r->prefix_filled = attach.hit_tokens;
     r->filling_prefix = attach.is_filler;
     r->prefilled = attach.hit_tokens;
-}
-
-void
-Scheduler::detach_prefix_if_attached(Request* r)
-{
-    if (!r->prefix_attached)
-        return;
-    cache_->detach_prefix(r->spec.prefix_id);
-    r->prefix_attached = false;
-    r->filling_prefix = false;
 }
 
 std::int64_t
@@ -517,8 +499,7 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
         if (r->done()) {
             r->state = RequestState::kFinished;
             r->finished = now;
-            cache_->release(r->id);
-            detach_prefix_if_attached(r);
+            retire(r);
             running_.erase(std::find(running_.begin(), running_.end(), r));
             finished->push_back(r);
             publish(r, obs::RequestPhase::kFinish, now,

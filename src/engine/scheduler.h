@@ -123,13 +123,9 @@ class Scheduler
     Request* steal_waiting(double now, std::int64_t max_tokens);
 
     /**
-     * Evict every live request whose completion deadline has passed
-     * (deadline > 0 and deadline <= now): running requests (admission
-     * order) then waiting ones (queue order) are removed from their
-     * queues, their KV and prefix pins released, and their state set to
-     * kExpired. No-op — and zero cost — unless a deadline-carrying
-     * request was ever enqueued, so deadline-free runs stay
-     * bit-identical.
+     * Sweep out (see `take_if`) every live request whose deadline has
+     * passed (deadline > 0 and deadline <= now) as kExpired. No-op — and
+     * zero cost — unless a deadline-carrying request was ever enqueued.
      *
      * @return the evicted requests, running first then waiting.
      */
@@ -143,21 +139,16 @@ class Scheduler
     double earliest_deadline() const;
 
     /**
-     * Graceful drain: remove every waiting request (queue order),
-     * releasing any cache/prefix state acquired at the admission gate,
-     * and mark them kMigrated so the router can re-admit them elsewhere.
-     * Running requests are untouched — they finish here.
+     * Graceful drain: sweep out every waiting request as kMigrated, so
+     * the router can re-admit it elsewhere. Running requests finish here.
      *
      * @return the removed requests in queue order.
      */
     std::vector<Request*> drain_waiting();
 
     /**
-     * Fail-stop: drop every live request (fault injection). Running
-     * requests (admission order) then waiting requests (queue order) are
-     * removed from their queues, their KV and prefix pins released, and
-     * their state set to kLost. The returned order is deterministic so a
-     * router can retry them reproducibly.
+     * Fail-stop: sweep out every live request as kLost (fault
+     * injection), in the deterministic order a router retries them in.
      *
      * @return the dropped requests, running first then waiting.
      */
@@ -223,8 +214,17 @@ class Scheduler
     /** Pin `r` to its shared prefix entry and apply the cache hit. */
     void attach_prefix_if_needed(Request* r);
 
-    /** Unpin `r` from its prefix entry (finish or preemption). */
-    void detach_prefix_if_attached(Request* r);
+    /** Release `r`'s KV blocks and prefix pin: the one way a request
+     *  leaves the cache (finish, preemption, cancel, every sweep). */
+    void retire(Request* r);
+
+    /**
+     * Remove and retire every request matching `pred`, running ones in
+     * admission order, then waiting ones in queue order. @return them in
+     * that order (no allocation when nothing matches).
+     */
+    template <typename Pred>
+    std::vector<Request*> take_if(Pred pred);
 
     /** Insert into the waiting queue by priority class. */
     void insert_waiting(Request* r, bool front_of_class);

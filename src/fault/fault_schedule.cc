@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -107,13 +108,15 @@ class Keys
     index(const std::string& key)
     {
         const double v = number(key);
-        const int i = static_cast<int>(v);
-        if (v < 0 || static_cast<double>(i) != v) {
+        // Range-check before the cast: converting an out-of-range double
+        // (or NaN, for which the check is false) to int is undefined.
+        if (!(v >= 0 && v <= INT_MAX) ||
+            static_cast<double>(static_cast<int>(v)) != v) {
             fatal("--faults: key '" + key +
                   "' expects a non-negative integer, got '" + raw(key) +
                   "' in clause " + clause_);
         }
-        return i;
+        return static_cast<int>(v);
     }
 
     std::uint64_t

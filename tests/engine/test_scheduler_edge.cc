@@ -1,9 +1,11 @@
 /** @file Edge-case tests for the scheduler: tiny budgets, clipping,
- *  arrival gating under priorities, plan retraction. */
+ *  arrival gating under priorities, plan retraction, and the order and
+ *  cleanup of the expiry, drain and fail-stop sweeps. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/test_helpers.h"
 #include "engine/scheduler.h"
@@ -176,6 +178,112 @@ TEST_F(SchedulerEdge, WorkIntoReplacesStaleChunks)
     EXPECT_EQ(work.chunks[0].past, 0);
     EXPECT_TRUE(work.chunks[0].is_prefill);
     EXPECT_EQ(work.total_new_tokens(), plan.batched_tokens());
+}
+
+TEST(SchedulerSweep, ExpireDrainAndFailSweepRunningThenWaiting)
+{
+    // One mix per sweep: A (prefix 7, filler) and B run; C (prefix 7),
+    // D and E wait. An 8-block pool holds exactly A's private blocks,
+    // the 2-block prefix entry and B, so C attaches to the prefix at the
+    // admission gate, is blocked on KV and waits while pinning it.
+    struct Mix
+    {
+        kvcache::CacheManager cache{
+            8 * 16, kvcache::KvLayout::base(model::llama_70b(), {1, 8}), 16};
+        Scheduler sched{{}, &cache};
+        std::vector<std::unique_ptr<Request>> owned;
+        Request *a, *b, *c, *d, *e;
+
+        Request*
+        new_request(std::int64_t prefix_id, double deadline)
+        {
+            auto r = std::make_unique<Request>();
+            r->id = static_cast<RequestId>(owned.size());
+            r->spec = {0.0, 60, 100};
+            r->spec.prefix_id = prefix_id;
+            r->spec.prefix_tokens = prefix_id < 0 ? 0 : 32;
+            r->spec.deadline = deadline;
+            r->prefill_target = 60;
+            sched.enqueue(r.get());
+            owned.push_back(std::move(r));
+            return owned.back().get();
+        }
+
+        Mix()
+        {
+            a = new_request(7, 1.0);
+            b = new_request(-1, 0.0);
+            c = new_request(7, 1.0);
+            d = new_request(-1, 0.0);
+            e = new_request(-1, 0.5);
+            std::vector<Request*> fin;
+            sched.on_step_complete(0.1, sched.schedule(0.0), &fin);
+            EXPECT_TRUE(fin.empty());
+            EXPECT_EQ(sched.num_running(), 2u);
+            EXPECT_EQ(sched.num_waiting(), 3u);
+            EXPECT_EQ(a->state, RequestState::kDecode);
+            EXPECT_EQ(b->state, RequestState::kDecode);
+            EXPECT_EQ(c->state, RequestState::kWaiting);
+            EXPECT_TRUE(c->prefix_attached);
+            EXPECT_EQ(cache.free_tokens(), 0);
+        }
+
+        /** @return true when no request pins the prefix entry. */
+        bool
+        prefix_unpinned()
+        {
+            cache.evict_idle_prefixes(
+                std::numeric_limits<std::int64_t>::max());
+            return cache.prefix_entry_count() == 0;
+        }
+    };
+    using V = std::vector<Request*>;
+
+    {
+        Mix m;
+        EXPECT_TRUE(m.sched.expire_due(0.4).empty());
+        const V expired = m.sched.expire_due(1.0);
+        EXPECT_EQ(expired, (V{m.a, m.c, m.e}));
+        for (const Request* r : expired) {
+            EXPECT_EQ(r->state, RequestState::kExpired);
+            EXPECT_FALSE(r->prefix_attached);
+        }
+        EXPECT_EQ(m.b->state, RequestState::kDecode);
+        EXPECT_EQ(m.d->state, RequestState::kWaiting);
+        EXPECT_EQ(m.sched.num_running(), 1u);
+        EXPECT_EQ(m.sched.num_waiting(), 1u);
+        EXPECT_EQ(m.cache.num_requests(), 1u);  // only B holds KV
+        EXPECT_TRUE(m.cache.accounting_consistent());
+        EXPECT_TRUE(m.prefix_unpinned());
+    }
+    {
+        Mix m;
+        const V drained = m.sched.drain_waiting();
+        EXPECT_EQ(drained, (V{m.c, m.d, m.e}));
+        for (const Request* r : drained) {
+            EXPECT_EQ(r->state, RequestState::kMigrated);
+            EXPECT_FALSE(r->prefix_attached);
+        }
+        EXPECT_EQ(m.sched.num_running(), 2u);
+        EXPECT_EQ(m.sched.num_waiting(), 0u);
+        EXPECT_EQ(m.cache.num_requests(), 2u);  // A and B keep running
+        EXPECT_TRUE(m.cache.accounting_consistent());
+        EXPECT_TRUE(m.a->prefix_attached);
+        EXPECT_FALSE(m.prefix_unpinned());  // A still pins it
+    }
+    {
+        Mix m;
+        const V lost = m.sched.fail_all();
+        EXPECT_EQ(lost, (V{m.a, m.b, m.c, m.d, m.e}));
+        for (const Request* r : lost) {
+            EXPECT_EQ(r->state, RequestState::kLost);
+            EXPECT_FALSE(r->prefix_attached);
+        }
+        EXPECT_FALSE(m.sched.has_work());
+        EXPECT_EQ(m.cache.num_requests(), 0u);
+        EXPECT_TRUE(m.cache.accounting_consistent());
+        EXPECT_TRUE(m.prefix_unpinned());
+    }
 }
 
 } // namespace

@@ -135,6 +135,17 @@ TEST(FaultSpecDeath, MalformedSpecsNameTheOffendingToken)
                  "positive mean");
 }
 
+TEST(FaultSpecDeath, OutOfIntRangeIndicesAreFatal)
+{
+    // Each value is range-checked before it is converted to int.
+    EXPECT_DEATH(parse_fault_spec("fail:engine=1e20,at=1"),
+                 "expects a non-negative integer");
+    EXPECT_DEATH(parse_fault_spec("fail:engine=nan,at=1"),
+                 "expects a non-negative integer");
+    EXPECT_DEATH(parse_fault_spec("fail:rank=inf,at=1"),
+                 "expects a non-negative integer");
+}
+
 // ----------------------------------------------------------- materialize
 
 TEST(FaultSchedule, RankResolvesToTheOwningEngine)

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,6 +71,18 @@ TEST(SweepRunner, EffectiveJobsIsCappedByPointCount)
     EXPECT_EQ(bench::effective_jobs(0), 1);
     bench::detail::set_jobs(1);
     EXPECT_EQ(bench::effective_jobs(100), 1);
+}
+
+TEST(SweepRunnerDeath, JobsMustBeAWholePositiveInt)
+{
+    // Each value is rejected while parsing, before any worker starts.
+    for (const char* value : {"4x", "", "0", "4294967297"}) {
+        std::string prog = "bench", flag = "--jobs", arg = value;
+        char* argv[] = {prog.data(), flag.data(), arg.data(), nullptr};
+        EXPECT_DEATH(bench::init(3, argv),
+                     "--jobs requires a positive worker count")
+            << "value '" << value << "'";
+    }
 }
 
 TEST(SweepRunner, CommitsFireInIndexOrder)
