@@ -67,11 +67,10 @@ BM_CacheAppendRelease(benchmark::State& state)
     const auto m = model::llama_70b();
     kvcache::CacheManager cache(1 << 22,
                                 kvcache::KvLayout::base(m, {1, 8}), 16);
-    std::int64_t id = 0;
+    kvcache::BlockTable table;
     for (auto _ : state) {
-        cache.try_append(id, 2048);
-        cache.release(id);
-        ++id;
+        cache.try_append(table, 2048);
+        cache.release(table);
     }
 }
 BENCHMARK(BM_CacheAppendRelease);

@@ -129,6 +129,17 @@ Engine::free_terminal(std::span<Request* const> done)
                                            scheduler_.num_running(),
                     "request conservation broken: the engine holds a "
                     "request the scheduler has neither waiting nor running");
+    SP_DEBUG_ASSERT(scheduler_.totals_consistent(),
+                    "scheduler totals drifted from its queues");
+}
+
+std::int64_t
+Engine::request_kv_blocks() const
+{
+    std::int64_t blocks = 0;
+    for (const auto& [id, r] : live_)
+        blocks += r->kv.num_blocks();
+    return blocks;
 }
 
 std::vector<std::pair<RequestSpec, RequestId>>
@@ -185,7 +196,7 @@ Engine::fail(double t)
     // just unpinned by the drop) are destroyed too, so a recovered engine
     // restarts cold.
     cache_.evict_idle_prefixes(std::numeric_limits<std::int64_t>::max());
-    SP_ASSERT(cache_.num_requests() == 0 && cache_.prefix_entry_count() == 0,
+    SP_ASSERT(cache_.used_blocks() == 0 && cache_.prefix_entry_count() == 0,
               "failed engine still holds KV state");
 
     if (cfg_.trace) {
@@ -330,7 +341,7 @@ Engine::step()
         metrics_.on_request_finished(*r);
     }
     free_terminal(finished);
-    SP_DEBUG_ASSERT(cache_.accounting_consistent(),
+    SP_DEBUG_ASSERT(cache_.accounting_consistent(request_kv_blocks()),
                     "KV accounting drifted: request tables and prefix "
                     "entries do not hold exactly the pool's used blocks");
 

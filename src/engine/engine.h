@@ -374,8 +374,12 @@ class Engine : public sim::Component
     void enqueue_new(const RequestSpec& spec, RequestId id, bool migrated_in,
                      std::int64_t already_decoded);
 
-    /** Free requests just made terminal; Debug-check conservation. */
+    /** Free requests just made terminal; Debug-check conservation and
+     *  the scheduler's running totals. */
     void free_terminal(std::span<Request* const> done);
+
+    /** @return KV blocks held by live requests (O(live); Debug checks). */
+    std::int64_t request_kv_blocks() const;
 
     /** Free requests a drain or fail-stop removed; @return their
      *  (spec, id) pairs in order. */
@@ -398,7 +402,8 @@ class Engine : public sim::Component
     Metrics metrics_;
     parallel::BatchWork work_;  ///< step()'s cost-model input, reused
     /** Waiting and running requests by id, each freed once terminal.
-     *  Never iterated: queue order is the scheduler's. */
+     *  Queue order is the scheduler's; only the order-free Debug KV sum
+     *  iterates this map. */
     std::unordered_map<RequestId, std::unique_ptr<Request>> live_;
     std::function<bool(const Request&)> on_finish_;
     std::function<void(RequestId)> on_expire_;

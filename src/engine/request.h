@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "kvcache/block_table.h"
+
 namespace shiftpar::engine {
 
 /** Unique request identifier (assigned by the submitter). */
@@ -121,6 +123,13 @@ struct Request
 
     /** Tokens this request has appended into the prefix entry so far. */
     std::int64_t prefix_filled = 0;
+
+    /**
+     * The request's private KV blocks (context beyond `prefix_filled`),
+     * grown and released through the engine's `kvcache::CacheManager`.
+     * Empty while waiting.
+     */
+    kvcache::BlockTable kv;
 
     /** Time the first chunk was scheduled (-1 until then). */
     double first_scheduled = -1.0;

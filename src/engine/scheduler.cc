@@ -1,11 +1,23 @@
 #include "engine/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/logging.h"
 
 namespace shiftpar::engine {
+
+namespace {
+
+/** @return the tokens `r` still owes: prefill plus output. */
+std::int64_t
+owed_tokens(const Request* r)
+{
+    return r->prefill_remaining() + (r->spec.output_tokens - r->decoded);
+}
+
+} // namespace
 
 std::int64_t
 BatchPlan::batched_tokens() const
@@ -44,7 +56,8 @@ Scheduler::enqueue(Request* r)
 {
     SP_ASSERT(r != nullptr && r->state == RequestState::kWaiting);
     if (r->spec.deadline > 0.0)
-        has_deadlines_ = true;
+        deadline_floor_ = std::min(deadline_floor_, r->spec.deadline);
+    outstanding_ += owed_tokens(r);
     insert_waiting(r, /*front_of_class=*/false);
 }
 
@@ -111,6 +124,7 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
             }
             retire(victim);
             victim->reset_for_recompute();
+            outstanding_ += owed_tokens(victim);  // back, owing a recompute
             running_.erase(std::next(it).base());
             insert_waiting(victim, /*front_of_class=*/true);
             ++preemptions_;
@@ -146,7 +160,7 @@ Scheduler::schedule(double now)
             ++it;
             continue;
         }
-        if (migrated_blocked || !cache_->try_append(r->id, r->prefilled)) {
+        if (migrated_blocked || !cache_->try_append(r->kv, r->prefilled)) {
             // Keep intra-class FCFS (same rule as the prefill pass): later
             // migrated requests must not jump a cache-blocked one, but the
             // scan continues so non-migrated requests keep their slots.
@@ -174,8 +188,7 @@ Scheduler::schedule(double now)
             ++i;
             continue;
         }
-        const std::int64_t past =
-            r->prefix_filled + cache_->cached_tokens(r->id);
+        const std::int64_t past = r->prefix_filled + r->kv.num_tokens();
         // Cap the chunk at the remaining budget: with multi-token decode
         // steps (speculative decoding) an uncapped chunk could push
         // batched_tokens() past max_batched_tokens, distorting the
@@ -184,7 +197,7 @@ Scheduler::schedule(double now)
             std::min({opts_.decode_tokens_per_step,
                       r->spec.output_tokens - r->decoded, budget});
         SP_ASSERT(tokens >= 1);
-        while (!cache_->try_append(r->id, tokens)) {
+        while (!cache_->try_append(r->kv, tokens)) {
             const std::int64_t retracted = preempt_one(r, &plan);
             if (retracted < 0) {
                 fatal("KV cache cannot hold a single decoding request; "
@@ -298,7 +311,8 @@ Scheduler::cancel(Request* r)
 void
 Scheduler::retire(Request* r)
 {
-    cache_->release(r->id);
+    outstanding_ -= owed_tokens(r);
+    cache_->release(r->kv);
     if (!r->prefix_attached)
         return;
     cache_->detach_prefix(r->spec.prefix_id);
@@ -310,33 +324,37 @@ template <typename Pred>
 std::vector<Request*>
 Scheduler::take_if(Pred pred)
 {
+    // The sweep visits every live request, so it also makes the deadline
+    // floor exact again: the minimum over the survivors.
     std::vector<Request*> taken;
+    double floor = std::numeric_limits<double>::infinity();
+    const auto take = [&](Request* r) {
+        if (!pred(r)) {
+            if (r->spec.deadline > 0.0)
+                floor = std::min(floor, r->spec.deadline);
+            return false;
+        }
+        retire(r);
+        taken.push_back(r);
+        return true;
+    };
     auto kept = running_.begin();
-    for (Request* r : running_) {
-        if (pred(r)) {
-            retire(r);
-            taken.push_back(r);
-        } else {
+    for (Request* r : running_)
+        if (!take(r))
             *kept++ = r;
-        }
-    }
     running_.erase(kept, running_.end());
-    for (auto it = waiting_.begin(); it != waiting_.end();) {
-        if (!pred(*it)) {
-            ++it;
-            continue;
-        }
-        retire(*it);
-        taken.push_back(*it);
-        it = erase_waiting(it);
-    }
+    for (auto it = waiting_.begin(); it != waiting_.end();)
+        it = take(*it) ? erase_waiting(it) : std::next(it);
+    deadline_floor_ = floor;
     return taken;
 }
 
 std::vector<Request*>
 Scheduler::expire_due(double now)
 {
-    if (!has_deadlines_)
+    // Every live deadline is at or after the floor, so nothing is due
+    // before it.
+    if (now < deadline_floor_)
         return {};
     std::vector<Request*> expired = take_if([now](const Request* r) {
         return r->spec.deadline > 0.0 && r->spec.deadline <= now;
@@ -352,8 +370,8 @@ double
 Scheduler::earliest_deadline() const
 {
     double earliest = std::numeric_limits<double>::infinity();
-    if (!has_deadlines_)
-        return earliest;
+    if (std::isinf(deadline_floor_))
+        return earliest;  // no live request carries a deadline
     for (const Request* r : running_)
         if (r->spec.deadline > 0.0)
             earliest = std::min(earliest, r->spec.deadline);
@@ -405,6 +423,7 @@ Scheduler::steal_waiting(double now, std::int64_t max_tokens)
         if (r->spec.prompt_tokens + r->spec.output_tokens > max_tokens)
             continue;
         erase_waiting(std::next(it).base());
+        retire(r);  // holds no KV or prefix pin: settles its owed tokens
         r->state = RequestState::kMigrated;
         return r;
     }
@@ -428,6 +447,7 @@ Scheduler::attach_prefix_if_needed(Request* r)
     // the reported prefix hit rate.
     const auto attach = cache_->attach_prefix(
         r->spec.prefix_id, target, /*count_hit=*/!r->prefix_hit_counted);
+    outstanding_ += r->prefilled - attach.hit_tokens;
     r->prefix_hit_counted = true;
     r->prefix_attached = true;
     r->prefix_hit = attach.hit_tokens;
@@ -443,8 +463,7 @@ Scheduler::schedule_prefill(Request* r, std::int64_t budget, BatchPlan* plan)
     chunk = std::min(chunk, cache_->free_tokens());
     if (chunk <= 0)
         return 0;
-    const std::int64_t past =
-        r->prefix_filled + cache_->cached_tokens(r->id);
+    const std::int64_t past = r->prefix_filled + r->kv.num_tokens();
 
     // Split the chunk between the shared prefix entry (filler only) and
     // this request's private blocks.
@@ -460,7 +479,7 @@ Scheduler::schedule_prefill(Request* r, std::int64_t budget, BatchPlan* plan)
         return 0;
     }
     const std::int64_t to_private = chunk - to_prefix;
-    if (to_private > 0 && !cache_->try_append(r->id, to_private)) {
+    if (to_private > 0 && !cache_->try_append(r->kv, to_private)) {
         if (to_prefix == 0)
             return 0;
         chunk = to_prefix;  // schedule just the shared part this step
@@ -478,6 +497,7 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
     SP_ASSERT(finished != nullptr);
     for (const auto& c : plan.chunks) {
         Request* r = c.request;
+        outstanding_ -= c.new_tokens;
         if (c.is_prefill) {
             r->prefilled += c.new_tokens;
             SP_ASSERT(r->prefilled <= r->prefill_target,
@@ -489,6 +509,7 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
             // the resumption token after a recompute preemption.
             r->state = RequestState::kDecode;
             r->decoded += 1;
+            --outstanding_;
             if (r->first_token < 0.0) {
                 r->first_token = now;
                 publish(r, obs::RequestPhase::kFirstToken, now);
@@ -517,17 +538,19 @@ Scheduler::earliest_waiting_arrival() const
     return earliest;
 }
 
-std::int64_t
-Scheduler::outstanding_tokens() const
+bool
+Scheduler::totals_consistent() const
 {
-    std::int64_t total = 0;
-    for (const Request* r : waiting_)
-        total += r->prefill_remaining() +
-                 (r->spec.output_tokens - r->decoded);
-    for (const Request* r : running_)
-        total += r->prefill_remaining() +
-                 (r->spec.output_tokens - r->decoded);
-    return total;
+    std::int64_t owed = 0;
+    bool floor_ok = true;
+    const auto visit = [&](const Request* r) {
+        owed += owed_tokens(r);
+        floor_ok = floor_ok && (r->spec.deadline <= 0.0 ||
+                                r->spec.deadline >= deadline_floor_);
+    };
+    std::for_each(waiting_.begin(), waiting_.end(), visit);
+    std::for_each(running_.begin(), running_.end(), visit);
+    return owed == outstanding_ && floor_ok;
 }
 
 } // namespace shiftpar::engine

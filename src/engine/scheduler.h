@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "engine/metrics.h"
@@ -124,8 +125,9 @@ class Scheduler
 
     /**
      * Sweep out (see `take_if`) every live request whose deadline has
-     * passed (deadline > 0 and deadline <= now) as kExpired. No-op — and
-     * zero cost — unless a deadline-carrying request was ever enqueued.
+     * passed (deadline > 0 and deadline <= now) as kExpired. O(1) while
+     * `now` is before the deadline floor (a lower bound on every live
+     * deadline), so a run without due deadlines never sweeps.
      *
      * @return the evicted requests, running first then waiting.
      */
@@ -177,8 +179,19 @@ class Scheduler
     /** @return admitted (KV-holding) request count. */
     std::size_t num_running() const { return running_.size(); }
 
-    /** @return total unprocessed tokens across queued+running requests. */
-    std::int64_t outstanding_tokens() const;
+    /**
+     * @return total unprocessed tokens (prefill plus output) across
+     * queued and running requests: a running total, O(1).
+     */
+    std::int64_t outstanding_tokens() const { return outstanding_; }
+
+    /**
+     * Debug oracle for the running totals: `outstanding_tokens()` equals
+     * the O(n) sum over the queues, and no live deadline is below the
+     * deadline floor. `Engine` asserts it after every step and terminal
+     * path in Debug builds.
+     */
+    bool totals_consistent() const;
 
     /**
      * @return the earliest arrival time among waiting requests, or +inf
@@ -214,14 +227,16 @@ class Scheduler
     /** Pin `r` to its shared prefix entry and apply the cache hit. */
     void attach_prefix_if_needed(Request* r);
 
-    /** Release `r`'s KV blocks and prefix pin: the one way a request
-     *  leaves the cache (finish, preemption, cancel, every sweep). */
+    /** Take `r`'s owed tokens off the outstanding total and release its
+     *  KV blocks and prefix pin: the one way a request leaves the queues
+     *  (finish, preemption, cancel, steal, every sweep). */
     void retire(Request* r);
 
     /**
      * Remove and retire every request matching `pred`, running ones in
-     * admission order, then waiting ones in queue order. @return them in
-     * that order (no allocation when nothing matches).
+     * admission order, then waiting ones in queue order, and reset the
+     * deadline floor to the survivors' minimum. @return the removed
+     * requests in that order (no allocation when nothing matches).
      */
     template <typename Pred>
     std::vector<Request*> take_if(Pred pred);
@@ -246,8 +261,11 @@ class Scheduler
     /** Running prefills in class order (prefill-pass buffer, reused). */
     std::vector<Request*> prefilling_;
     std::int64_t preemptions_ = 0;
-    /** A deadline-carrying request was enqueued (gates expiry sweeps). */
-    bool has_deadlines_ = false;
+    /** Running sum of every waiting and running request's owed tokens. */
+    std::int64_t outstanding_ = 0;
+    /** Lower bound on every live deadline (+inf: none live); `enqueue`
+     *  lowers it and each `take_if` sweep makes it exact. */
+    double deadline_floor_ = std::numeric_limits<double>::infinity();
     obs::TraceSink* trace_ = nullptr;
     obs::EngineId trace_id_ = 0;
     double sched_now_ = 0.0;  ///< time of the in-progress schedule() call

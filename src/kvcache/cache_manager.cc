@@ -15,18 +15,39 @@ CacheManager::CacheManager(std::int64_t token_capacity, KvLayout layout,
 }
 
 bool
+CacheManager::try_append(BlockTable& table, std::int64_t tokens)
+{
+    if (table.append_tokens(tokens, allocator_))
+        return true;
+    // Reclaim cold prefix entries before reporting pressure upward.
+    evict_idle_prefixes(allocator_.blocks_for_tokens(tokens) + 1);
+    return table.append_tokens(tokens, allocator_);
+}
+
+void
+CacheManager::release(BlockTable& table)
+{
+    table.release(allocator_);
+}
+
+bool
 CacheManager::try_append(RequestId id, std::int64_t tokens)
 {
     auto [it, inserted] = tables_.try_emplace(id);
-    bool ok = it->second.append_tokens(tokens, allocator_);
-    if (!ok) {
-        // Reclaim cold prefix entries before reporting pressure upward.
-        evict_idle_prefixes(allocator_.blocks_for_tokens(tokens) + 1);
-        ok = it->second.append_tokens(tokens, allocator_);
-    }
+    const bool ok = try_append(it->second, tokens);
     if (!ok && inserted)
         tables_.erase(it);
     return ok;
+}
+
+void
+CacheManager::release(RequestId id)
+{
+    auto it = tables_.find(id);
+    if (it == tables_.end())
+        return;
+    release(it->second);
+    tables_.erase(it);
 }
 
 PrefixAttach
@@ -61,11 +82,7 @@ CacheManager::try_append_prefix(PrefixKey key, std::int64_t tokens)
     auto it = prefixes_.find(key);
     SP_ASSERT(it != prefixes_.end(), "append to unknown prefix entry");
     PrefixEntry& entry = it->second;
-    bool ok = entry.blocks.append_tokens(tokens, allocator_);
-    if (!ok) {
-        evict_idle_prefixes(allocator_.blocks_for_tokens(tokens) + 1);
-        ok = entry.blocks.append_tokens(tokens, allocator_);
-    }
+    const bool ok = try_append(entry.blocks, tokens);
     if (ok) {
         entry.last_use = ++lru_clock_;
         if (entry.blocks.num_tokens() >= entry.target)
@@ -128,23 +145,6 @@ CacheManager::evict_idle_prefixes(std::int64_t blocks)
     return true;
 }
 
-void
-CacheManager::release(RequestId id)
-{
-    auto it = tables_.find(id);
-    if (it == tables_.end())
-        return;
-    it->second.release(allocator_);
-    tables_.erase(it);
-}
-
-std::int64_t
-CacheManager::cached_tokens(RequestId id) const
-{
-    auto it = tables_.find(id);
-    return it == tables_.end() ? 0 : it->second.num_tokens();
-}
-
 std::int64_t
 CacheManager::free_tokens() const
 {
@@ -152,9 +152,9 @@ CacheManager::free_tokens() const
 }
 
 bool
-CacheManager::accounting_consistent() const
+CacheManager::accounting_consistent(std::int64_t held_outside) const
 {
-    std::int64_t held = 0;
+    std::int64_t held = held_outside;
     for (const auto& [id, table] : tables_)
         held += table.num_blocks();
     for (const auto& [key, entry] : prefixes_)

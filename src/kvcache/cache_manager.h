@@ -2,11 +2,12 @@
  * @file
  * Engine-level KV cache: block pool + per-request tables + layout.
  *
- * The manager owns the block pool sized from a `MemoryPlan`, maintains one
- * `BlockTable` (token and block counts) per live request and per shared
- * prefix entry, and carries the distributed `KvLayout` so the shift engine
- * can assert invariance before reusing the cache under a different
- * execution configuration. Accounting is by count: the blocks held by all
+ * The manager owns the block pool sized from a `MemoryPlan`, one
+ * `BlockTable` per shared prefix entry, and the distributed `KvLayout` so
+ * the shift engine can assert invariance before reusing the cache under a
+ * different execution configuration. Each request owns its private
+ * `BlockTable` and grows or releases it through this manager, so a decode
+ * step costs no lookup. Accounting is by count: the blocks held by all
  * tables must always equal the pool's used count (`accounting_consistent`).
  */
 
@@ -66,17 +67,26 @@ class CacheManager
     }
 
     /**
-     * Reserve cache space for `tokens` new tokens of request `id`
-     * (admission for a prefill chunk, or +1 for a decode step). Under
-     * pressure, idle prefix-cache entries are evicted LRU-first before
-     * failing.
+     * Grow the request-owned `table` by `tokens` new tokens (admission for
+     * a prefill chunk, or +1 for a decode step). Under pressure, idle
+     * prefix-cache entries are evicted LRU-first before failing.
      *
-     * @return true on success; false (no state change) when the pool is
-     * exhausted — the caller should defer or preempt.
+     * @return true on success; false (no change to `table` or the pool)
+     * when the pool is exhausted — the caller should defer or preempt.
+     */
+    bool try_append(BlockTable& table, std::int64_t tokens);
+
+    /** Return all of `table`'s blocks to the pool (finish or preemption). */
+    void release(BlockTable& table);
+
+    /**
+     * `try_append` for a table this manager keeps under `id`, for
+     * standalone callers that have no request object. Engines use the
+     * table overload.
      */
     bool try_append(RequestId id, std::int64_t tokens);
 
-    /** Release all blocks of request `id` (finish or preemption). */
+    /** Release the table kept under `id` (see the id `try_append`). */
     void release(RequestId id);
 
     /**
@@ -119,15 +129,6 @@ class CacheManager
      */
     bool evict_idle_prefixes(std::int64_t blocks);
 
-    /** @return tokens cached for request `id` (0 if unknown). */
-    std::int64_t cached_tokens(RequestId id) const;
-
-    /** @return true if `id` currently owns cache blocks. */
-    bool contains(RequestId id) const
-    {
-        return tables_.find(id) != tables_.end();
-    }
-
     /** @return total token capacity. */
     std::int64_t token_capacity() const { return token_capacity_; }
 
@@ -137,20 +138,21 @@ class CacheManager
     /** @return pool utilization in [0, 1]. */
     double utilization() const { return allocator_.utilization(); }
 
-    /** @return number of live requests holding blocks. */
-    std::size_t num_requests() const { return tables_.size(); }
+    /** @return blocks taken from the pool (requests and prefixes). */
+    std::int64_t used_blocks() const { return allocator_.num_used(); }
 
     /** @return the distributed layout of this cache. */
     const KvLayout& layout() const { return layout_; }
 
     /**
-     * KV accounting invariant: the blocks held by every request table and
-     * prefix entry sum to the pool's used count. O(live requests + prefix
-     * entries); `Engine::step` checks it in Debug builds.
+     * KV accounting invariant: `held_outside` (the blocks of every
+     * request-owned table) plus the blocks of every prefix entry and
+     * id-keyed table sum to the pool's used count. O(prefix entries);
+     * `Engine::step` checks it in Debug builds.
      *
      * @return true when the invariant holds.
      */
-    bool accounting_consistent() const;
+    bool accounting_consistent(std::int64_t held_outside) const;
 
     /**
      * Assert that `other` can share this cache without data movement
@@ -174,6 +176,7 @@ class CacheManager
     std::int64_t token_capacity_;
     KvLayout layout_;
     BlockAllocator allocator_;
+    /** Tables of the id-keyed overloads only (standalone callers). */
     std::unordered_map<RequestId, BlockTable> tables_;
     std::unordered_map<PrefixKey, PrefixEntry> prefixes_;
     std::int64_t prefix_hit_tokens_ = 0;

@@ -1,6 +1,8 @@
 #include "workload/trace_io.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -25,15 +27,38 @@ split_fields(const std::string& line)
     return fields;
 }
 
+/** Parse the whole field (trailing whitespace aside) as a finite number. */
 double
-parse_double(const std::string& s, const std::string& path, int lineno)
+parse_number(const std::string& s, const std::string& path, int lineno)
 {
     char* end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str())
+    const bool parsed = end != s.c_str();
+    while (parsed && std::isspace(static_cast<unsigned char>(*end)))
+        ++end;
+    if (!parsed || *end != '\0' || !std::isfinite(v))
         fatal(path + ":" + std::to_string(lineno) + ": bad number '" + s +
               "'");
     return v;
+}
+
+[[noreturn]] void
+invalid_request(const std::string& path, int lineno)
+{
+    fatal(path + ":" + std::to_string(lineno) +
+          ": invalid request (arrival >= 0, whole tokens >= 1 required)");
+}
+
+/** Parse a token count: a whole number in [1, INT64_MAX]. */
+std::int64_t
+parse_tokens(const std::string& s, const std::string& path, int lineno)
+{
+    const double v = parse_number(s, path, lineno);
+    // Checked before the cast: converting an out-of-range double to an
+    // integer is undefined. 0x1p63 is INT64_MAX + 1, exactly.
+    if (!(v >= 1.0 && v < 0x1p63 && v == std::floor(v)))
+        invalid_request(path, lineno);
+    return static_cast<std::int64_t>(v);
 }
 
 } // namespace
@@ -66,14 +91,11 @@ load_trace(const std::string& path)
                   ": expected 3 fields, got " +
                   std::to_string(fields.size()));
         engine::RequestSpec r;
-        r.arrival = parse_double(fields[0], path, lineno);
-        r.prompt_tokens =
-            static_cast<std::int64_t>(parse_double(fields[1], path, lineno));
-        r.output_tokens =
-            static_cast<std::int64_t>(parse_double(fields[2], path, lineno));
-        if (r.arrival < 0.0 || r.prompt_tokens < 1 || r.output_tokens < 1)
-            fatal(path + ":" + std::to_string(lineno) +
-                  ": invalid request (arrival >= 0, tokens >= 1 required)");
+        r.arrival = parse_number(fields[0], path, lineno);
+        if (r.arrival < 0.0)
+            invalid_request(path, lineno);
+        r.prompt_tokens = parse_tokens(fields[1], path, lineno);
+        r.output_tokens = parse_tokens(fields[2], path, lineno);
         reqs.push_back(r);
     }
     std::stable_sort(reqs.begin(), reqs.end(),

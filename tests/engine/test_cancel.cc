@@ -33,9 +33,9 @@ TEST(Cancel, RunningRequestReleasesCache)
     e->submit({0.0, 1000, 1000}, 1);
     const auto cancel_mid_decode = [&] {
         ASSERT_TRUE(e->has_work());
-        EXPECT_GT(e->cache().num_requests(), 0u);
+        EXPECT_GT(e->cache().used_blocks(), 0);
         EXPECT_TRUE(e->cancel(1));
-        EXPECT_EQ(e->cache().num_requests(), 0u);
+        EXPECT_EQ(e->cache().used_blocks(), 0);
         EXPECT_FALSE(e->has_work());
     };
     replay({e.get()}, {{0.05, cancel_mid_decode}});
@@ -115,9 +115,9 @@ TEST(Cancel, PrefilledRequestReleasesKvOnCancel)
     e->submit_prefilled({0.0, 4096, 64}, 1);
     const auto cancel_mid_decode = [&] {
         ASSERT_TRUE(e->has_work());
-        EXPECT_GT(e->cache().num_requests(), 0u);
+        EXPECT_GT(e->cache().used_blocks(), 0);
         EXPECT_TRUE(e->cancel(1));
-        EXPECT_EQ(e->cache().num_requests(), 0u);
+        EXPECT_EQ(e->cache().used_blocks(), 0);
         EXPECT_FALSE(e->has_work());
     };
     replay({e.get()}, {{0.01, cancel_mid_decode}});

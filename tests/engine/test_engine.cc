@@ -32,7 +32,7 @@ TEST(Engine, SingleRequestLifecycle)
     EXPECT_GT(reqs[0].tpot, 0.0);
     EXPECT_GE(reqs[0].completion, reqs[0].ttft);
     // KV fully released at the end.
-    EXPECT_EQ(e->cache().num_requests(), 0u);
+    EXPECT_EQ(e->cache().used_blocks(), 0);
 }
 
 TEST(Engine, TtftMatchesPerfModelPrediction)

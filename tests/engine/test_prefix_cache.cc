@@ -84,7 +84,8 @@ TEST_F(PrefixCacheManagerTest, IdleEntriesEvictedUnderPressure)
     cache_.attach_prefix(7, 2048);
     ASSERT_TRUE(cache_.try_append_prefix(7, 2048));
     cache_.detach_prefix(7);
-    EXPECT_TRUE(cache_.try_append(1, 4000));
+    kvcache::BlockTable t;
+    EXPECT_TRUE(cache_.try_append(t, 4000));
     EXPECT_EQ(cache_.prefix_entry_count(), 0u);  // evicted
 }
 
@@ -93,7 +94,9 @@ TEST_F(PrefixCacheManagerTest, PinnedEntriesAreNotEvicted)
     cache_.attach_prefix(7, 2048);
     ASSERT_TRUE(cache_.try_append_prefix(7, 2048));
     // Still attached: the big allocation must fail rather than evict.
-    EXPECT_FALSE(cache_.try_append(1, 4000));
+    kvcache::BlockTable t;
+    EXPECT_FALSE(cache_.try_append(t, 4000));
+    EXPECT_EQ(t.num_blocks(), 0);
     EXPECT_EQ(cache_.prefix_cached_tokens(7), 2048);
 }
 
@@ -180,7 +183,9 @@ TEST(PrefixEngine, ConcurrentSharersAllFinish)
                   i);
     replay({e.get()});
     EXPECT_EQ(e->metrics().requests().size(), 12u);
-    EXPECT_EQ(e->cache().num_requests(), 0u);
+    // Requests hold no blocks: the pool holds the idle prefix entry only.
+    EXPECT_EQ(e->cache().prefix_entry_count(), 1u);
+    EXPECT_TRUE(e->cache().accounting_consistent(/*held_outside=*/0));
 }
 
 TEST_F(PrefixCacheManagerTest, DetachUnknownKeyIsNoOp)

@@ -115,7 +115,8 @@ TEST_F(SchedulerTest, DecodeTokensScheduledEachStep)
     EXPECT_EQ(fin2[0], r);
     EXPECT_DOUBLE_EQ(r->finished, 0.3);
     EXPECT_FALSE(s.has_work());
-    EXPECT_FALSE(cache_.contains(r->id));
+    EXPECT_EQ(r->kv.num_blocks(), 0);
+    EXPECT_EQ(cache_.used_blocks(), 0);
 }
 
 TEST_F(SchedulerTest, DecodesAndPrefillShareOneBatch)

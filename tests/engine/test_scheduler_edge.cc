@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -228,6 +229,23 @@ TEST(SchedulerSweep, ExpireDrainAndFailSweepRunningThenWaiting)
             EXPECT_EQ(cache.free_tokens(), 0);
         }
 
+        /** @return the KV blocks the requests in `held` own, after
+         *  checking that every other request owns none. */
+        std::int64_t
+        kv_held_by(const std::vector<Request*>& held) const
+        {
+            std::int64_t blocks = 0;
+            for (const auto& r : owned) {
+                const bool holds =
+                    std::find(held.begin(), held.end(), r.get()) !=
+                    held.end();
+                EXPECT_EQ(holds, r->kv.num_blocks() > 0)
+                    << "request " << r->id;
+                blocks += r->kv.num_blocks();
+            }
+            return blocks;
+        }
+
         /** @return true when no request pins the prefix entry. */
         bool
         prefix_unpinned()
@@ -252,8 +270,7 @@ TEST(SchedulerSweep, ExpireDrainAndFailSweepRunningThenWaiting)
         EXPECT_EQ(m.d->state, RequestState::kWaiting);
         EXPECT_EQ(m.sched.num_running(), 1u);
         EXPECT_EQ(m.sched.num_waiting(), 1u);
-        EXPECT_EQ(m.cache.num_requests(), 1u);  // only B holds KV
-        EXPECT_TRUE(m.cache.accounting_consistent());
+        EXPECT_TRUE(m.cache.accounting_consistent(m.kv_held_by({m.b})));
         EXPECT_TRUE(m.prefix_unpinned());
     }
     {
@@ -266,8 +283,8 @@ TEST(SchedulerSweep, ExpireDrainAndFailSweepRunningThenWaiting)
         }
         EXPECT_EQ(m.sched.num_running(), 2u);
         EXPECT_EQ(m.sched.num_waiting(), 0u);
-        EXPECT_EQ(m.cache.num_requests(), 2u);  // A and B keep running
-        EXPECT_TRUE(m.cache.accounting_consistent());
+        EXPECT_TRUE(
+            m.cache.accounting_consistent(m.kv_held_by({m.a, m.b})));
         EXPECT_TRUE(m.a->prefix_attached);
         EXPECT_FALSE(m.prefix_unpinned());  // A still pins it
     }
@@ -280,10 +297,185 @@ TEST(SchedulerSweep, ExpireDrainAndFailSweepRunningThenWaiting)
             EXPECT_FALSE(r->prefix_attached);
         }
         EXPECT_FALSE(m.sched.has_work());
-        EXPECT_EQ(m.cache.num_requests(), 0u);
-        EXPECT_TRUE(m.cache.accounting_consistent());
+        EXPECT_EQ(m.kv_held_by({}), 0);
+        EXPECT_TRUE(m.cache.accounting_consistent(0));
         EXPECT_TRUE(m.prefix_unpinned());
     }
+}
+
+/** A scheduler over its own pool, whose requests the test sums itself. */
+struct Ledger
+{
+    kvcache::CacheManager cache;
+    Scheduler sched;
+    std::vector<std::unique_ptr<Request>> owned;
+
+    Ledger(std::int64_t pool_tokens, SchedulerOptions opts)
+        : cache(pool_tokens,
+                kvcache::KvLayout::base(model::llama_70b(), {1, 8}), 16),
+          sched(opts, &cache)
+    {
+    }
+
+    Request*
+    new_request(std::int64_t prompt, std::int64_t output,
+                double deadline = 0.0,
+        std::int64_t prefix_id = -1, std::int64_t prefix_tokens = 0)
+    {
+        auto r = std::make_unique<Request>();
+        r->id = static_cast<RequestId>(owned.size());
+        r->spec = {0.0, prompt, output, prefix_id, prefix_tokens};
+        r->spec.deadline = deadline;
+        r->prefill_target = prompt;
+        sched.enqueue(r.get());
+        owned.push_back(std::move(r));
+        return owned.back().get();
+    }
+
+    /** @return prefill plus output tokens still owed by every request
+     *  whose state says it is waiting or running. */
+    std::int64_t
+    owed() const
+    {
+        std::int64_t total = 0;
+        for (const auto& r : owned) {
+            if (r->state == RequestState::kWaiting ||
+                r->state == RequestState::kPrefill ||
+                r->state == RequestState::kDecode) {
+                total += (r->prefill_target - r->prefilled) +
+                         (r->spec.output_tokens - r->decoded);
+            }
+        }
+        return total;
+    }
+
+    /** One step, checking the total after scheduling and completion. */
+    std::vector<Request*>
+    step(double t)
+    {
+        const BatchPlan plan = sched.schedule(t);
+        EXPECT_EQ(sched.outstanding_tokens(), owed()) << "scheduled at " << t;
+        std::vector<Request*> fin;
+        sched.on_step_complete(t, plan, &fin);
+        EXPECT_EQ(sched.outstanding_tokens(), owed()) << "completed at " << t;
+        return fin;
+    }
+};
+
+TEST(SchedulerTotals, OutstandingFollowsPrefixHitChunksDecodeAndFinish)
+{
+    Ledger l(1 << 14, {.max_batched_tokens = 64});
+    Request* a =
+        l.new_request(100, 3, 0.0, /*prefix_id=*/7, /*prefix_tokens=*/64);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 103);
+    EXPECT_EQ(l.owed(), 103);
+
+    l.step(0.1);  // chunk 1: 64 tokens into the prefix entry
+    EXPECT_EQ(a->prefilled, 64);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 39);
+    l.step(0.2);  // chunk 2 finishes prefill and samples a token
+    EXPECT_EQ(a->state, RequestState::kDecode);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 2);
+
+    Request* b = l.new_request(100, 3, 0.0, 7, 64);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 105);
+    // Admission attaches b to the filled prefix: 64 tokens are a hit.
+    const BatchPlan plan = l.sched.schedule(0.3);
+    EXPECT_EQ(b->prefix_hit, 64);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 2 + 36 + 3);
+    EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
+    std::vector<Request*> fin;
+    l.sched.on_step_complete(0.3, plan, &fin);  // a decodes, b prefills
+    EXPECT_EQ(l.sched.outstanding_tokens(), 1 + 2);
+    EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
+
+    double t = 0.3;
+    std::size_t finished = 0;
+    while (l.sched.has_work() && t < 1.0)
+        finished += l.step(t += 0.1).size();
+    EXPECT_EQ(finished, 2u);
+    EXPECT_EQ(a->state, RequestState::kFinished);
+    EXPECT_EQ(b->state, RequestState::kFinished);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 0);
+}
+
+TEST(SchedulerTotals, OutstandingFollowsPreemptionAndRecompute)
+{
+    // Four blocks hold both prompts and a few decode tokens each; the
+    // decode growth then preempts the younger request, which recomputes.
+    Ledger l(4 * 16, {});
+    Request* a = l.new_request(16, 40);
+    Request* b = l.new_request(16, 40);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 112);
+    double t = 0.0;
+    bool saw_recompute = false;
+    for (int i = 0; i < 400 && l.sched.has_work(); ++i) {
+        l.step(t += 0.01);
+        saw_recompute = saw_recompute || b->prefill_target > 16;
+    }
+    EXPECT_GT(l.sched.preemption_count(), 0);
+    EXPECT_TRUE(saw_recompute);
+    EXPECT_EQ(a->state, RequestState::kFinished);
+    EXPECT_EQ(b->state, RequestState::kFinished);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 0);
+}
+
+TEST(SchedulerTotals, OutstandingFollowsEveryWayOutOfAQueue)
+{
+    Ledger l(1 << 14, {.max_running_seqs = 2});
+    Request* a = l.new_request(50, 10);
+    Request* b = l.new_request(50, 10, /*deadline=*/1.0);
+    Request* c = l.new_request(50, 10);
+    Request* d = l.new_request(50, 10, /*deadline=*/0.5);
+    Request* e = l.new_request(50, 10);
+    l.step(0.1);  // a and b run; c, d and e wait
+    ASSERT_EQ(l.sched.num_running(), 2u);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 2 * 9 + 3 * 60);
+
+    l.sched.cancel(a);  // running
+    EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
+    l.sched.cancel(c);  // waiting
+    EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
+    EXPECT_EQ(l.sched.steal_waiting(0.2, 1 << 20), e);
+    EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
+    EXPECT_EQ(l.sched.expire_due(0.6), std::vector<Request*>{d});
+    EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
+    EXPECT_EQ(l.sched.outstanding_tokens(), 9);  // b alone
+
+    l.new_request(30, 5);
+    l.new_request(20, 5);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 9 + 35 + 25);
+    EXPECT_EQ(l.sched.drain_waiting().size(), 2u);
+    EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
+    EXPECT_EQ(l.sched.fail_all(), std::vector<Request*>{b});
+    EXPECT_EQ(l.owed(), 0);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 0);
+}
+
+TEST(SchedulerTotals, EnqueueLowersTheDeadlineFloorAfterASweep)
+{
+    Ledger l(1 << 14, {});
+    Request* a = l.new_request(50, 10, /*deadline=*/10.0);
+    Request* c = l.new_request(50, 10);
+    EXPECT_TRUE(l.sched.expire_due(5.0).empty());
+    Request* b = l.new_request(50, 10, /*deadline=*/6.0);
+    EXPECT_DOUBLE_EQ(l.sched.earliest_deadline(), 6.0);
+    EXPECT_EQ(l.sched.expire_due(7.0), std::vector<Request*>{b});
+    EXPECT_EQ(b->state, RequestState::kExpired);
+    EXPECT_EQ(a->state, RequestState::kWaiting);
+    EXPECT_EQ(l.sched.num_waiting(), 2u);
+    EXPECT_DOUBLE_EQ(l.sched.earliest_deadline(), 10.0);
+
+    // The floor still says 10 after a leaves; the sweep it triggers finds
+    // nothing due and leaves the queue as it was.
+    l.sched.cancel(a);
+    EXPECT_TRUE(std::isinf(l.sched.earliest_deadline()));
+    EXPECT_TRUE(l.sched.expire_due(11.0).empty());
+    EXPECT_EQ(l.sched.num_waiting(), 1u);
+    EXPECT_EQ(l.sched.num_running(), 0u);
+    EXPECT_EQ(c->state, RequestState::kWaiting);
+    EXPECT_EQ(l.sched.outstanding_tokens(), 60);
+    EXPECT_FALSE(l.sched.schedule(12.0).empty());  // c is still servable
 }
 
 } // namespace

@@ -100,7 +100,7 @@ TEST_P(EngineFuzz, InvariantsHoldOnRandomRuns)
     //    only retained prefix entries may still occupy memory.
     for (std::size_t e = 0; e < router->size(); ++e) {
         const auto& cache = router->engine(e).cache();
-        EXPECT_EQ(cache.num_requests(), 0u);
+        EXPECT_TRUE(cache.accounting_consistent(/*held_outside=*/0));
         if (cache.prefix_entry_count() == 0) {
             const std::int64_t all_blocks = cache.token_capacity() / 16;
             EXPECT_EQ(cache.free_tokens(), all_blocks * 16);

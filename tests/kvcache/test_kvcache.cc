@@ -174,12 +174,16 @@ TEST(CacheManager, AdmitAndReleaseAccounting)
     const auto m = model::llama_70b();
     CacheManager c(1000, KvLayout::base(m, {1, 8}), 16);
     EXPECT_EQ(c.token_capacity(), 1000);
-    EXPECT_TRUE(c.try_append(1, 100));
-    EXPECT_EQ(c.cached_tokens(1), 100);
-    EXPECT_TRUE(c.contains(1));
-    EXPECT_EQ(c.num_requests(), 1u);
-    c.release(1);
-    EXPECT_FALSE(c.contains(1));
+    BlockTable t;
+    EXPECT_TRUE(c.try_append(t, 100));
+    EXPECT_EQ(t.num_tokens(), 100);
+    EXPECT_EQ(t.num_blocks(), 7);
+    EXPECT_EQ(c.used_blocks(), 7);
+    EXPECT_TRUE(c.accounting_consistent(t.num_blocks()));
+    c.release(t);
+    EXPECT_EQ(t.num_tokens(), 0);
+    EXPECT_EQ(t.num_blocks(), 0);
+    EXPECT_EQ(c.used_blocks(), 0);
     EXPECT_EQ(c.free_tokens(), (1000 / 16) * 16);
 }
 
@@ -187,20 +191,100 @@ TEST(CacheManager, RejectsWhenFull)
 {
     const auto m = model::llama_70b();
     CacheManager c(64, KvLayout::base(m, {1, 8}), 16);
-    EXPECT_TRUE(c.try_append(1, 64));
-    EXPECT_FALSE(c.try_append(2, 1));
-    EXPECT_FALSE(c.contains(2));  // failed admission leaves no residue
-    c.release(1);
-    EXPECT_TRUE(c.try_append(2, 1));
+    BlockTable a, b;
+    EXPECT_TRUE(c.try_append(a, 64));
+    EXPECT_FALSE(c.try_append(b, 1));
+    EXPECT_EQ(b.num_blocks(), 0);  // failed admission leaves no residue
+    EXPECT_EQ(c.used_blocks(), 4);
+    c.release(a);
+    EXPECT_TRUE(c.try_append(b, 1));
 }
 
 TEST(CacheManager, FailedGrowthKeepsExistingTokens)
 {
     const auto m = model::llama_70b();
     CacheManager c(32, KvLayout::base(m, {1, 8}), 16);
-    EXPECT_TRUE(c.try_append(1, 30));
-    EXPECT_FALSE(c.try_append(1, 100));
-    EXPECT_EQ(c.cached_tokens(1), 30);
+    BlockTable t;
+    EXPECT_TRUE(c.try_append(t, 30));
+    EXPECT_FALSE(c.try_append(t, 100));
+    EXPECT_EQ(t.num_tokens(), 30);
+}
+
+TEST(CacheManager, FailedAppendLeavesTableAndPoolUnchanged)
+{
+    const auto m = model::llama_70b();
+    CacheManager c(160, KvLayout::base(m, {1, 8}), 16);
+    BlockTable other, t;
+    ASSERT_TRUE(c.try_append(other, 100));  // 7 of 10 blocks
+    ASSERT_TRUE(c.try_append(t, 20));       // 2 blocks, 12 tokens spare
+    EXPECT_FALSE(c.try_append(t, 40));      // needs 2 more, 1 is free
+    EXPECT_EQ(t.num_tokens(), 20);
+    EXPECT_EQ(t.num_blocks(), 2);
+    EXPECT_EQ(other.num_blocks(), 7);
+    EXPECT_EQ(c.used_blocks(), 9);
+    EXPECT_EQ(c.free_tokens(), 16);
+    EXPECT_TRUE(c.accounting_consistent(t.num_blocks() +
+                                        other.num_blocks()));
+}
+
+TEST(CacheManager, AppendEvictsIdlePrefixButNeverAPinnedOne)
+{
+    const auto m = model::llama_70b();
+    CacheManager c(160, KvLayout::base(m, {1, 8}), 16);
+    c.attach_prefix(1, 64);
+    ASSERT_TRUE(c.try_append_prefix(1, 64));  // 4 blocks, stays pinned
+    c.attach_prefix(2, 64);
+    ASSERT_TRUE(c.try_append_prefix(2, 64));  // 4 blocks, goes idle
+    c.detach_prefix(2);
+
+    // 2 blocks are free; 4 more need the idle entry's blocks.
+    BlockTable t;
+    EXPECT_TRUE(c.try_append(t, 96));
+    EXPECT_EQ(t.num_blocks(), 6);
+    EXPECT_EQ(c.prefix_cached_tokens(2), 0);  // evicted
+    EXPECT_EQ(c.prefix_cached_tokens(1), 64);
+    EXPECT_TRUE(c.accounting_consistent(t.num_blocks()));
+
+    // Only the pinned entry is left: the next append fails, unchanged.
+    EXPECT_FALSE(c.try_append(t, 16));
+    EXPECT_EQ(t.num_blocks(), 6);
+    EXPECT_EQ(c.prefix_cached_tokens(1), 64);
+    EXPECT_EQ(c.prefix_entry_count(), 1u);
+    EXPECT_EQ(c.used_blocks(), 10);
+}
+
+TEST(CacheManager, ReleaseReturnsExactlyTheTablesBlocks)
+{
+    const auto m = model::llama_70b();
+    CacheManager c(1600, KvLayout::base(m, {1, 8}), 16);
+    BlockTable a, b;
+    ASSERT_TRUE(c.try_append(a, 33));  // 3 blocks
+    ASSERT_TRUE(c.try_append(b, 40));  // 3 blocks
+    ASSERT_TRUE(c.try_append(a, 16));  // 49 tokens: 4 blocks
+    EXPECT_EQ(c.used_blocks(), 7);
+    c.release(a);
+    EXPECT_EQ(c.used_blocks(), 3);
+    EXPECT_EQ(a.num_blocks(), 0);
+    EXPECT_EQ(b.num_blocks(), 3);
+    EXPECT_TRUE(c.accounting_consistent(b.num_blocks()));
+    c.release(a);  // an empty table returns nothing
+    EXPECT_EQ(c.used_blocks(), 3);
+}
+
+TEST(CacheManager, IdKeyedWrappersKeepTheirOwnTables)
+{
+    // Standalone callers without a request object address tables by id.
+    const auto m = model::llama_70b();
+    CacheManager c(64, KvLayout::base(m, {1, 8}), 16);
+    EXPECT_TRUE(c.try_append(1, 30));  // 2 blocks
+    EXPECT_FALSE(c.try_append(2, 40));
+    EXPECT_EQ(c.used_blocks(), 2);
+    EXPECT_TRUE(c.accounting_consistent(0));
+    c.release(2);  // unknown id: no-op
+    c.release(1);
+    EXPECT_EQ(c.used_blocks(), 0);
+    EXPECT_TRUE(c.try_append(2, 64));
+    EXPECT_TRUE(c.accounting_consistent(0));
 }
 
 TEST(CacheManager, InvarianceAssertPassesAndFails)
@@ -216,26 +300,30 @@ TEST(CacheManager, AccountingCheckCatchesPoolMismatch)
 {
     const auto m = model::llama_70b();
     CacheManager c(1600, KvLayout::base(m, {1, 8}), 16);
-    EXPECT_TRUE(c.accounting_consistent());
-    ASSERT_TRUE(c.try_append(1, 40));  // 3 blocks
+    EXPECT_TRUE(c.accounting_consistent(0));
+    BlockTable t;
+    ASSERT_TRUE(c.try_append(t, 40));  // 3 blocks
     c.attach_prefix(9, 64);
     ASSERT_TRUE(c.try_append_prefix(9, 20));  // 2 blocks
-    EXPECT_TRUE(c.accounting_consistent());
+    EXPECT_TRUE(c.accounting_consistent(3));
+    // Blocks held outside that are off by one either way do not add up.
+    EXPECT_FALSE(c.accounting_consistent(2));
+    EXPECT_FALSE(c.accounting_consistent(4));
 
     // A block taken from the pool that no table records is a leak.
     BlockAllocator& pool = CacheManagerTestPeer::pool(c);
     ASSERT_TRUE(pool.allocate(1));
-    EXPECT_FALSE(c.accounting_consistent());
+    EXPECT_FALSE(c.accounting_consistent(3));
     // Returning blocks that a table still records is a premature free.
     pool.free(2);
-    EXPECT_FALSE(c.accounting_consistent());
+    EXPECT_FALSE(c.accounting_consistent(3));
     ASSERT_TRUE(pool.allocate(1));
-    EXPECT_TRUE(c.accounting_consistent());
+    EXPECT_TRUE(c.accounting_consistent(3));
 
-    c.release(1);
+    c.release(t);
     c.detach_prefix(9);
     EXPECT_TRUE(c.evict_idle_prefixes(pool.num_blocks()));
-    EXPECT_TRUE(c.accounting_consistent());
+    EXPECT_TRUE(c.accounting_consistent(0));
     EXPECT_EQ(pool.num_used(), 0);
 }
 
@@ -244,7 +332,8 @@ TEST(CacheManager, UtilizationTracksUsage)
     const auto m = model::llama_70b();
     CacheManager c(160, KvLayout::base(m, {1, 8}), 16);
     EXPECT_DOUBLE_EQ(c.utilization(), 0.0);
-    c.try_append(1, 80);
+    BlockTable t;
+    c.try_append(t, 80);
     EXPECT_DOUBLE_EQ(c.utilization(), 0.5);
 }
 
@@ -297,7 +386,8 @@ TEST(CacheManager, EvictionOrderIndependentOfHashLayout)
         stage_prefixes(c, dummies);
         // 96 of 160 tokens are held by idle prefixes; admitting 160
         // evicts all three, least recently used first.
-        EXPECT_TRUE(c.try_append(1, 160));
+        BlockTable t;
+        EXPECT_TRUE(c.try_append(t, 160));
         traces.push_back(log.instants);
     }
 

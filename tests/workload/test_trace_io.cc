@@ -111,6 +111,45 @@ TEST_F(TraceIoTest, InvalidRequestIsFatal)
     EXPECT_DEATH(load_trace(path), "invalid request");
 }
 
+TEST_F(TraceIoTest, JunkAndNonFiniteNumbersAreFatal)
+{
+    // Each field is parsed whole and must be finite: a nan arrival would
+    // slip past `arrival < 0`, and a non-finite token count cannot be
+    // converted to an integer at all.
+    for (const char* row : {"nan,10,2\n", "inf,10,2\n", "1.0,12abc,2\n",
+                            "1.0,10,nan\n", "1.0,inf,2\n",
+                            "1.0x,10,2\n"}) {
+        const auto path =
+            write_file(std::string("arrival_s,prompt_tokens,output_tokens\n") +
+                       row);
+        EXPECT_DEATH(load_trace(path), "bad number") << row;
+    }
+}
+
+TEST_F(TraceIoTest, TokensMustBeWholeAndInRange)
+{
+    for (const char* row : {"1.0,2.5,2\n", "1.0,10,0.5\n", "1.0,1e30,2\n",
+                            "1.0,10,-1e30\n", "1.0,9223372036854775808,2\n"}) {
+        const auto path =
+            write_file(std::string("arrival_s,prompt_tokens,output_tokens\n") +
+                       row);
+        EXPECT_DEATH(load_trace(path), "invalid request") << row;
+    }
+}
+
+TEST_F(TraceIoTest, WholeTokensAndTrailingWhitespaceLoad)
+{
+    const auto path = write_file(
+        "arrival_s,prompt_tokens,output_tokens\n"
+        "0.5,1e3,2.0\r\n"
+        "1.0,9223372036854774784,1\n");
+    const auto reqs = load_trace(path);
+    ASSERT_EQ(reqs.size(), 2u);
+    EXPECT_EQ(reqs[0].prompt_tokens, 1000);
+    EXPECT_EQ(reqs[0].output_tokens, 2);
+    EXPECT_EQ(reqs[1].prompt_tokens, 9223372036854774784);
+}
+
 TEST_F(TraceIoTest, SaveLoadRoundTrip)
 {
     Rng rng(5);
