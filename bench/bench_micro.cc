@@ -31,7 +31,7 @@ BM_PerfModelPrefillStep(benchmark::State& state)
     const parallel::PerfModel perf(hw::h200_node(), model::llama_70b());
     const auto work = parallel::BatchWork::prefill(8192);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(perf.step_time(work, {8, 1}));
+        benchmark::DoNotOptimize(perf.evaluate(work, {8, 1}));
     }
 }
 BENCHMARK(BM_PerfModelPrefillStep);
@@ -42,10 +42,10 @@ BM_PerfModelMixedStep(benchmark::State& state)
     const parallel::PerfModel perf(hw::h200_node(), model::llama_70b());
     parallel::BatchWork work;
     for (int i = 0; i < state.range(0); ++i)
-        work.chunks.push_back({1, 2048 + i, false});
-    work.chunks.push_back({4096, 0, true});
+        work.add(1, 2048 + i, false);
+    work.add(4096, 0, true);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(perf.step_time(work, {4, 2}));
+        benchmark::DoNotOptimize(perf.evaluate(work, {4, 2}));
     }
     state.SetComplexityN(state.range(0));
 }

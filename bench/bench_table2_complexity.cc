@@ -39,7 +39,7 @@ main(int argc, char** argv)
                   {"config", "memory_gb", "compute_ms", "comm_ms", "ratio"});
 
     const auto row = [&](parallel::ParallelConfig cfg) {
-        const auto t = perf.step_time(work, cfg);
+        const auto t = perf.evaluate(work, cfg);
         const auto plan = parallel::plan_memory(m, node.gpu, cfg, false);
         const double compute = t.gemm + t.attention;
         const double ratio = t.comm / compute;
@@ -62,7 +62,7 @@ main(int argc, char** argv)
     std::printf("\nSP sweep (memory const, compute/SP, comm volume /SP):\n");
     for (int sp : {1, 2, 4, 8}) {
         const parallel::ParallelConfig cfg{sp, 1};
-        const auto t = perf.step_time(work, cfg);
+        const auto t = perf.evaluate(work, cfg);
         const auto plan = parallel::plan_memory(m, node.gpu, cfg, false);
         const double compute = t.gemm + t.attention;
         table2.add_row({cfg.to_string(),

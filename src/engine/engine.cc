@@ -291,7 +291,8 @@ Engine::step()
     if (plan.empty())
         return expired;
 
-    const std::int64_t batched = plan.batched_tokens();
+    const parallel::BatchWork work = plan.work();
+    const std::int64_t batched = work.total_new_tokens();
     const ExecutionPolicy::Choice choice = policy_->choose(batched);
 
     // Every mode switch must be KV-layout safe. The base configuration owns
@@ -304,9 +305,8 @@ Engine::step()
     }
 
     std::vector<parallel::KernelCost> breakdown;
-    plan.work_into(&work_);
     parallel::StepTiming timing = cost_model_->evaluate(
-        work_, choice.cfg, choice.sliced,
+        work, choice.cfg, choice.sliced,
         cfg_.cost_metrics ? &breakdown : nullptr);
     if (cfg_.cost_metrics)
         record_cost_metrics(timing, breakdown);
@@ -324,7 +324,7 @@ Engine::step()
     now_ += timing.total();
     ev.end = now_;
     ev.batched_tokens = batched;
-    ev.num_seqs = static_cast<std::int64_t>(plan.chunks.size());
+    ev.num_seqs = work.num_seqs();
     ev.cfg = choice.cfg;
     ev.shifted = !(choice.cfg == cfg_.base);
     ev.sliced = choice.sliced;

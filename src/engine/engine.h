@@ -400,7 +400,6 @@ class Engine : public sim::Component
     Scheduler scheduler_;
     std::unique_ptr<ExecutionPolicy> policy_;
     Metrics metrics_;
-    parallel::BatchWork work_;  ///< step()'s cost-model input, reused
     /** Waiting and running requests by id, each freed once terminal.
      *  Queue order is the scheduler's; only the order-free Debug KV sum
      *  iterates this map. */

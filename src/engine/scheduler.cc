@@ -19,21 +19,13 @@ owed_tokens(const Request* r)
 
 } // namespace
 
-std::int64_t
-BatchPlan::batched_tokens() const
+parallel::BatchWork
+BatchPlan::work() const
 {
-    std::int64_t total = 0;
+    parallel::BatchWork w;
     for (const auto& c : chunks)
-        total += c.new_tokens;
-    return total;
-}
-
-void
-BatchPlan::work_into(parallel::BatchWork* out) const
-{
-    out->chunks.clear();
-    for (const auto& c : chunks)
-        out->chunks.push_back({c.new_tokens, c.past, c.is_prefill});
+        w.add(c.new_tokens, c.past, c.is_prefill);
+    return w;
 }
 
 Scheduler::Scheduler(SchedulerOptions opts, kvcache::CacheManager* cache)
@@ -191,7 +183,7 @@ Scheduler::schedule(double now)
         const std::int64_t past = r->prefix_filled + r->kv.num_tokens();
         // Cap the chunk at the remaining budget: with multi-token decode
         // steps (speculative decoding) an uncapped chunk could push
-        // batched_tokens() past max_batched_tokens, distorting the
+        // the batched tokens past max_batched_tokens, distorting the
         // ShiftController's Alg. 2 decision near the threshold.
         const std::int64_t tokens =
             std::min({opts_.decode_tokens_per_step,

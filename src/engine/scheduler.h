@@ -69,14 +69,12 @@ struct BatchPlan
 {
     std::vector<ScheduledChunk> chunks;
 
-    /** @return sum of new tokens — the Alg. 2 "batch size". */
-    std::int64_t batched_tokens() const;
-
     /** @return true when nothing was schedulable. */
     bool empty() const { return chunks.empty(); }
 
-    /** Replace `out`'s chunks with the perf-model view of this batch. */
-    void work_into(parallel::BatchWork* out) const;
+    /** @return the per-phase sums the cost models price this batch from;
+     *  its `total_new_tokens()` is the Alg. 2 "batch size". */
+    parallel::BatchWork work() const;
 };
 
 /** FCFS continuous-batching scheduler bound to one engine's KV cache. */

@@ -4,30 +4,23 @@
 
 namespace shiftpar::model {
 
-std::int64_t
-BatchWork::total_new_tokens() const
-{
-    std::int64_t total = 0;
-    for (const auto& c : chunks)
-        total += c.new_tokens;
-    return total;
-}
-
 BatchWork
 BatchWork::prefill(std::int64_t prompt_tokens)
 {
     BatchWork w;
-    w.chunks.push_back({prompt_tokens, 0, true});
+    w.add(prompt_tokens, 0, true);
     return w;
 }
 
 BatchWork
 BatchWork::decode(std::int64_t batch, std::int64_t context)
 {
+    SP_ASSERT(batch >= 0 && context >= 0);
+    // `batch` one-token chunks at `context`: each attends context + 1 keys
+    // and streams 2·context + 1 doubled KV tokens.
     BatchWork w;
-    w.chunks.reserve(static_cast<std::size_t>(batch));
-    for (std::int64_t i = 0; i < batch; ++i)
-        w.chunks.push_back({1, context, false});
+    w.decodes = {batch, batch, batch * (context + 1),
+                 batch * (2 * context + 1)};
     return w;
 }
 

@@ -15,10 +15,8 @@
  *    coefficients (`hw::KernelCoeffs`) can be fit to external profiles by
  *    `tools/calibrate`.
  *
- * The batch/timing vocabulary (`SeqChunk`, `BatchWork`, `StepTiming`) lives
- * here — it describes *work* and *cost*, not a parallelism strategy — and is
- * re-exported under `shiftpar::parallel` for source compatibility with the
- * pre-interface code.
+ * The batch/timing vocabulary (`PhaseWork`, `BatchWork`, `StepTiming`)
+ * lives here — it describes *work* and *cost*, not a parallelism strategy.
  */
 
 #pragma once
@@ -27,38 +25,56 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace shiftpar::parallel {
 struct ParallelConfig;
 } // namespace shiftpar::parallel
 
 namespace shiftpar::model {
 
-/** One request's contribution to a step: new tokens after cached context. */
-struct SeqChunk
+/**
+ * One phase (prefill or decode) of a step, as exact integer sums over its
+ * sequences. A sequence processing `n` new tokens after `past` cached ones
+ * attends `n·past + n(n+1)/2` (query, key) pairs — token i sees `past + i
+ * + 1` keys — and streams `past + n/2` KV tokens (the cached context plus
+ * half the chunk, its average causal reach), kept doubled as an integer.
+ */
+struct PhaseWork
 {
-    /** Tokens processed this step (prefill chunk size, or 1 for decode). */
-    std::int64_t new_tokens = 0;
+    std::int64_t seqs = 0;    ///< sequences in this phase
+    std::int64_t tokens = 0;  ///< Σ n: new tokens processed
+    std::int64_t pairs = 0;   ///< Σ n·past + n(n+1)/2
+    std::int64_t read2 = 0;   ///< Σ 2·past + n
 
-    /** Tokens already in the KV cache for this sequence. */
-    std::int64_t past = 0;
-
-    /** True for prefill chunks (SwiftKV applies only to these). */
-    bool is_prefill = false;
+    bool operator==(const PhaseWork&) const = default;
 };
 
-/** The work one engine iteration performs. */
+/** The work one engine iteration performs, summed per phase. */
 struct BatchWork
 {
-    std::vector<SeqChunk> chunks;
+    PhaseWork prefills;  ///< prefill chunks (SwiftKV applies only to these)
+    PhaseWork decodes;   ///< decode chunks
 
-    /** @return sum of new tokens across chunks (the Alg. 2 batch size). */
-    std::int64_t total_new_tokens() const;
+    /** Add one sequence's chunk of `new_tokens` (>= 1) after `past`. */
+    void add(std::int64_t new_tokens, std::int64_t past, bool is_prefill)
+    {
+        SP_ASSERT(new_tokens >= 1 && past >= 0);
+        PhaseWork& p = is_prefill ? prefills : decodes;
+        p.seqs += 1;
+        p.tokens += new_tokens;
+        p.pairs += new_tokens * past + new_tokens * (new_tokens + 1) / 2;
+        p.read2 += 2 * past + new_tokens;
+    }
+
+    /** @return sum of new tokens (the Alg. 2 batch size). */
+    std::int64_t total_new_tokens() const
+    {
+        return prefills.tokens + decodes.tokens;
+    }
 
     /** @return number of sequences in the batch. */
-    std::int64_t num_seqs() const
-    {
-        return static_cast<std::int64_t>(chunks.size());
-    }
+    std::int64_t num_seqs() const { return prefills.seqs + decodes.seqs; }
 
     /** Convenience: a pure-prefill batch of one request. */
     static BatchWork prefill(std::int64_t prompt_tokens);

@@ -37,6 +37,24 @@ lm_head_flops(const ModelConfig& m, double n)
 }
 
 double
+attn_flops(const ModelConfig& m, const PhaseWork& p)
+{
+    return 4.0 * m.q_heads * m.head_dim * static_cast<double>(p.pairs);
+}
+
+double
+kv_read_bytes(const ModelConfig& m, const PhaseWork& p)
+{
+    return static_cast<double>(p.read2) / 2.0 * m.kv_bytes_per_token_layer();
+}
+
+double
+kv_write_bytes(const ModelConfig& m, const PhaseWork& p)
+{
+    return static_cast<double>(p.tokens) * m.kv_bytes_per_token_layer();
+}
+
+double
 layer_dense_weight_bytes(const ModelConfig& m)
 {
     const double b = dtype_bytes(m.weight_dtype);

@@ -9,15 +9,16 @@
  *    multiply-accumulate count.
  *  - Attention FLOPs count both the QK^T scores and the softmax(.)V product.
  *  - Causal masking is accounted exactly: token i of a chunk attends to
- *    `past + i + 1` positions.
+ *    `past + i + 1` positions. Attention is priced per phase from the
+ *    exact integer sums in `PhaseWork`.
  */
 
 #pragma once
 
 #include <cstdint>
 
+#include "model/cost_model.h"
 #include "model/model_config.h"
-#include "util/logging.h"
 
 namespace shiftpar::model {
 
@@ -37,48 +38,24 @@ double layer_gemm_flops(const ModelConfig& m, double n);
 double lm_head_flops(const ModelConfig& m, double n);
 
 /**
- * Causal attention FLOPs for a chunk of `new_tokens` appended after
- * `past` cached tokens, one layer.
- *
- * Token i (0-based) attends `past + i + 1` keys; scores and values each cost
- * 2 * h * d_h FLOPs per (query, key) pair.
+ * Causal attention FLOPs for one phase of a step, one layer: QK^T and PV
+ * each cost 2 * d_h FLOPs per (query head, key) pair.
  */
-inline double
-attn_flops(const ModelConfig& m, double new_tokens, double past)
-{
-    SP_ASSERT(new_tokens >= 0.0 && past >= 0.0);
-    // Sum over i in [0, n) of (past + i + 1) attended keys:
-    //   n*past + n(n+1)/2.
-    const double attended =
-        new_tokens * past + new_tokens * (new_tokens + 1.0) / 2.0;
-    // QK^T and PV each cost 2*d_h FLOPs per (query head, key) pair.
-    return 4.0 * m.q_heads * m.head_dim * attended;
-}
+double attn_flops(const ModelConfig& m, const PhaseWork& p);
 
 /**
- * KV-cache bytes *read* by attention for a chunk, one layer, all KV heads.
+ * KV-cache bytes *read* by one phase's attention, one layer, all KV heads.
  *
  * FlashAttention-style kernels stream the K and V cache once per query
  * block; we charge one full read of the attended context per chunk (not per
- * token), matching measured decode memory-boundedness.
+ * token), matching measured decode memory-boundedness. The chunk's own keys
+ * are read from registers/SMEM as they are produced, so each chunk is
+ * charged its cached `past` plus half the chunk (`PhaseWork::read2`).
  */
-inline double
-kv_read_bytes(const ModelConfig& m, double new_tokens, double past)
-{
-    SP_ASSERT(new_tokens >= 0.0 && past >= 0.0);
-    // One streaming pass over the attended context per chunk. The chunk's
-    // own keys are read from registers/SMEM as they are produced; charge
-    // the cached `past` region plus half the chunk (average causal reach).
-    const double tokens_read = past + new_tokens / 2.0;
-    return tokens_read * m.kv_bytes_per_token_layer();
-}
+double kv_read_bytes(const ModelConfig& m, const PhaseWork& p);
 
-/** KV-cache bytes written for `new_tokens`, one layer, all KV heads. */
-inline double
-kv_write_bytes(const ModelConfig& m, double new_tokens)
-{
-    return new_tokens * m.kv_bytes_per_token_layer();
-}
+/** KV-cache bytes written by one phase, one layer, all KV heads. */
+double kv_write_bytes(const ModelConfig& m, const PhaseWork& p);
 
 /**
  * Weight bytes read from HBM in one layer to process a batch of

@@ -91,12 +91,13 @@ KernelCostModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
     // (Section 3.2.1) and feature scaling of the compute tokens.
     const std::int64_t n = cfg.sp > 1 ? round_up(n_raw, cfg.sp) : n_raw;
     const double rows = static_cast<double>(n) / cfg.sp;  // rows per GPU
-    double compute_tokens = 0.0;
-    for (const auto& c : work.chunks) {
-        compute_tokens += static_cast<double>(c.new_tokens) *
-                          (c.is_prefill ? opts_.swiftkv_prefill_factor
-                                        : opts_.decode_compute_inflation);
-    }
+    const model::PhaseWork& pre = work.prefills;
+    const model::PhaseWork& dec = work.decodes;
+    const double swiftkv = opts_.swiftkv_prefill_factor;
+    const double inflation = opts_.decode_compute_inflation;
+    const double compute_tokens =
+        static_cast<double>(dec.tokens) * inflation +
+        static_cast<double>(pre.tokens) * swiftkv;
     const double n_eff = static_cast<double>(n) * compute_tokens /
                          static_cast<double>(n_raw);
 
@@ -145,34 +146,18 @@ KernelCostModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
     // Head-sharded across the whole group (the KV-cache invariance);
     // replicated KV heads multiply cache traffic. One fused launch per
     // layer for each phase present in the batch.
-    double prefill_flops = 0.0, prefill_kv = 0.0;
-    double decode_flops = 0.0, decode_kv = 0.0;
-    bool any_prefill = false, any_decode = false;
-    for (const auto& c : work.chunks) {
-        const double nt = static_cast<double>(c.new_tokens);
-        const double past = static_cast<double>(c.past);
-        if (c.is_prefill) {
-            const double f = opts_.swiftkv_prefill_factor;
-            prefill_flops += f * model::attn_flops(m, nt, past);
-            prefill_kv += f * model::kv_read_bytes(m, nt, past) +
-                          model::kv_write_bytes(m, nt);
-            any_prefill = true;
-        } else {
-            decode_flops += opts_.decode_compute_inflation *
-                            model::attn_flops(m, nt, past);
-            decode_kv += model::kv_read_bytes(m, nt, past) +
-                         model::kv_write_bytes(m, nt);
-            any_decode = true;
-        }
-    }
-    if (any_prefill) {
+    if (pre.seqs > 0) {
+        const double kv = swiftkv * model::kv_read_bytes(m, pre) +
+                          model::kv_write_bytes(m, pre);
         add("attn_prefill", "attention", coeffs_.attention, L,
-            L * prefill_flops / g, L * prefill_kv * rep / g,
+            L * (swiftkv * model::attn_flops(m, pre)) / g, L * kv * rep / g,
             opts_.attention_scale, &t.attention);
     }
-    if (any_decode) {
+    if (dec.seqs > 0) {
+        const double kv =
+            model::kv_read_bytes(m, dec) + model::kv_write_bytes(m, dec);
         add("attn_decode", "attention", coeffs_.attention, L,
-            L * decode_flops / g, L * decode_kv * rep / g,
+            L * (inflation * model::attn_flops(m, dec)) / g, L * kv * rep / g,
             opts_.attention_scale, &t.attention);
     }
 

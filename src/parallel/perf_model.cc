@@ -64,12 +64,13 @@ PerfModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
 
     // Effective compute tokens after feature scaling: SwiftKV shrinks
     // prefill compute, speculative verification inflates decode compute.
-    double compute_tokens = 0.0;
-    for (const auto& c : work.chunks) {
-        compute_tokens += static_cast<double>(c.new_tokens) *
-                          (c.is_prefill ? opts_.swiftkv_prefill_factor
-                                        : opts_.decode_compute_inflation);
-    }
+    const model::PhaseWork& pre = work.prefills;
+    const model::PhaseWork& dec = work.decodes;
+    const double swiftkv = opts_.swiftkv_prefill_factor;
+    const double inflation = opts_.decode_compute_inflation;
+    const double compute_tokens =
+        static_cast<double>(dec.tokens) * inflation +
+        static_cast<double>(pre.tokens) * swiftkv;
     const double compute_scale =
         compute_tokens / static_cast<double>(n_raw);
 
@@ -101,27 +102,16 @@ PerfModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
     // Heads are sharded across the whole group (identically under base and
     // shift configs — the KV-cache invariance); replicated KV heads
     // multiply cache traffic.
-    double attn_flops = 0.0;
-    double kv_traffic = 0.0;
-    for (const auto& c : work.chunks) {
-        const double nt = static_cast<double>(c.new_tokens);
-        const double past = static_cast<double>(c.past);
-        if (c.is_prefill) {
-            // SwiftKV skips attention in the reduced layers during prefill.
-            const double f = opts_.swiftkv_prefill_factor;
-            attn_flops += f * model::attn_flops(m, nt, past);
-            kv_traffic += f * model::kv_read_bytes(m, nt, past) +
-                          model::kv_write_bytes(m, nt);
-        } else {
-            // Verification queries attend with draft_len+1 positions per
-            // emitted token (compute inflation); the cache is still
-            // streamed once per chunk, so reads are not inflated.
-            attn_flops += opts_.decode_compute_inflation *
-                          model::attn_flops(m, nt, past);
-            kv_traffic += model::kv_read_bytes(m, nt, past) +
-                          model::kv_write_bytes(m, nt);
-        }
-    }
+    // Verification queries attend with draft_len+1 positions per emitted
+    // token (compute inflation), but the cache is still streamed once per
+    // chunk, so decode reads are not inflated. SwiftKV skips attention in
+    // the reduced layers during prefill.
+    const double attn_flops = inflation * model::attn_flops(m, dec) +
+                              swiftkv * model::attn_flops(m, pre);
+    const double kv_traffic =
+        model::kv_read_bytes(m, dec) + model::kv_write_bytes(m, dec) +
+        (swiftkv * model::kv_read_bytes(m, pre) +
+         model::kv_write_bytes(m, pre));
     const double attn_flops_pg = attn_flops / g;
     const double kv_traffic_pg = kv_traffic * rep / g;
     const double attn_layer = node_.gpu.kernel_time(

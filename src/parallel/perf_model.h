@@ -11,8 +11,8 @@
  * `PerfModel` is the default `model::CostModel` implementation (the
  * roofline aggregate); see `parallel/kernel_cost_model.h` for the
  * kernel-decomposed alternative. The batch/timing vocabulary lives in
- * `model/cost_model.h` and is re-exported here so pre-interface code keeps
- * compiling against `parallel::BatchWork` / `parallel::StepTiming`.
+ * `model/cost_model.h` and is re-exported here as `parallel::BatchWork`,
+ * `parallel::StepTiming` and friends.
  *
  * Strategy-distinguishing behaviour captured here:
  *  - TP shards weights (1/TP reads) but pays two all-reduces of the full
@@ -42,12 +42,10 @@
 
 namespace shiftpar::parallel {
 
-// Source-compatibility aliases: these types predate the CostModel
-// interface and every layer refers to them under parallel::.
+// Every layer above `model` refers to these under parallel::.
 using model::BatchWork;
 using model::CostModel;
 using model::KernelCost;
-using model::SeqChunk;
 using model::StepTiming;
 
 /** Engine-overhead and ablation knobs. */
@@ -114,13 +112,6 @@ class PerfModel : public model::CostModel
                         bool sliced_weights = false,
                         std::vector<KernelCost>* breakdown =
                             nullptr) const override;
-
-    /** Pre-interface name for `evaluate` (kept for callers and tests). */
-    StepTiming step_time(const BatchWork& work, const ParallelConfig& cfg,
-                         bool sliced_weights = false) const
-    {
-        return evaluate(work, cfg, sliced_weights);
-    }
 
     const model::ModelConfig& model() const { return model_; }
     const hw::Node& node() const { return node_; }

@@ -42,10 +42,10 @@ level_from_env()
     return LogLevel::kWarn;
 }
 
-LogLevel&
+LogLevel
 global_level()
 {
-    static LogLevel level = level_from_env();
+    static const LogLevel level = level_from_env();
     return level;
 }
 
@@ -82,18 +82,6 @@ emit(const char* level, const std::string& msg)
 }
 
 } // namespace
-
-void
-set_log_level(LogLevel level)
-{
-    global_level() = level;
-}
-
-LogLevel
-log_level()
-{
-    return global_level();
-}
 
 void
 log_message(LogLevel level, const std::string& msg)

@@ -19,13 +19,7 @@ namespace shiftpar {
 /** Severity levels for the global logger. */
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kSilent = 4 };
 
-/** Set the global minimum level that will be emitted. */
-void set_log_level(LogLevel level);
-
-/** @return the current global log level. */
-LogLevel log_level();
-
-/** Emit one log line at `level` (filtered by the global level). */
+/** Emit one log line at `level` (filtered by `SHIFTPAR_LOG_LEVEL`). */
 void log_message(LogLevel level, const std::string& msg);
 
 /** Terminate due to a user/configuration error (exit code 1). */

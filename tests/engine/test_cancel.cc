@@ -155,17 +155,17 @@ TEST(ComponentRemoval, ScalesMatchFig15Methodology)
 
     const auto work = parallel::BatchWork::prefill(4096);
     const parallel::ParallelConfig cfg{4, 2};
-    const auto base = full.step_time(work, cfg);
+    const auto base = full.evaluate(work, cfg);
     EXPECT_NEAR(parallel::PerfModel(node, m, no_comm)
-                    .step_time(work, cfg)
+                    .evaluate(work, cfg)
                     .total(),
                 base.total() - base.comm, 1e-12);
     EXPECT_NEAR(parallel::PerfModel(node, m, no_attn)
-                    .step_time(work, cfg)
+                    .evaluate(work, cfg)
                     .total(),
                 base.total() - base.attention, 1e-12);
     EXPECT_NEAR(parallel::PerfModel(node, m, no_engine)
-                    .step_time(work, cfg)
+                    .evaluate(work, cfg)
                     .total(),
                 base.total() - base.overhead, 1e-12);
 }

@@ -132,11 +132,11 @@ TEST(Engine, StepRecordsAreTimeOrderedAndConsistent)
     }
 }
 
-TEST(Engine, ReusedWorkBufferPricesLikeFreshWork)
+TEST(Engine, EachStepPricesLikeFreshWork)
 {
-    // The engine prices every step from one reused BatchWork; each step
-    // must cost exactly what a freshly built batch of its chunks costs,
-    // also when the batch widens and then narrows again.
+    // The engine prices every step from its plan's per-phase sums; each
+    // step must cost exactly what a freshly built batch of its chunks
+    // costs, also when the batch widens and then narrows again.
     const auto m = tiny_model();
     auto cfg = tp8_engine_config();
     cfg.sched.max_batched_tokens = 1 << 20;  // single-chunk prefills
@@ -149,11 +149,11 @@ TEST(Engine, ReusedWorkBufferPricesLikeFreshWork)
 
     // Prefill 1 alone; decode 1 beside prefill 2 (which then finishes);
     // decode 1 alone.
-    const parallel::BatchWork fresh[] = {
-        {{{512, 0, true}}},
-        {{{1, 512, false}, {1024, 0, true}}},
-        {{{1, 513, false}}},
-    };
+    parallel::BatchWork fresh[3];
+    fresh[0].add(512, 0, true);
+    fresh[1].add(1, 512, false);
+    fresh[1].add(1024, 0, true);
+    fresh[2].add(1, 513, false);
     const auto& steps = log.steps;
     ASSERT_GE(steps.size(), 3u);
     const parallel::PerfModel perf(test_node(), m, cfg.perf);

@@ -66,7 +66,7 @@ TEST_F(SchedulerTest, WholePromptInOneChunkWithinBudget)
     ASSERT_EQ(plan.chunks.size(), 1u);
     EXPECT_EQ(plan.chunks[0].new_tokens, 1000);
     EXPECT_TRUE(plan.chunks[0].is_prefill);
-    EXPECT_EQ(plan.batched_tokens(), 1000);
+    EXPECT_EQ(plan.work().total_new_tokens(), 1000);
     EXPECT_DOUBLE_EQ(r->first_scheduled, 1.5);
 }
 
@@ -77,16 +77,16 @@ TEST_F(SchedulerTest, ChunkedPrefillRespectsBudget)
     s.enqueue(r);
 
     auto p1 = s.schedule(0.0);
-    EXPECT_EQ(p1.batched_tokens(), 512);
+    EXPECT_EQ(p1.work().total_new_tokens(), 512);
     complete(s, p1, 0.1);
     EXPECT_EQ(r->prefilled, 512);
 
     auto p2 = s.schedule(0.1);
-    EXPECT_EQ(p2.batched_tokens(), 512);
+    EXPECT_EQ(p2.work().total_new_tokens(), 512);
     complete(s, p2, 0.2);
 
     auto p3 = s.schedule(0.2);
-    EXPECT_EQ(p3.batched_tokens(), 176);  // remainder
+    EXPECT_EQ(p3.work().total_new_tokens(), 176);  // remainder
     complete(s, p3, 0.3);
     EXPECT_TRUE(r->prefill_done());
     EXPECT_EQ(r->decoded, 1);  // prefill completion samples first token
@@ -132,7 +132,7 @@ TEST_F(SchedulerTest, DecodesAndPrefillShareOneBatch)
     ASSERT_EQ(plan.chunks.size(), 2u);
     EXPECT_FALSE(plan.chunks[0].is_prefill);  // a's decode token first
     EXPECT_TRUE(plan.chunks[1].is_prefill);   // b's prefill fills the rest
-    EXPECT_EQ(plan.batched_tokens(), 501);
+    EXPECT_EQ(plan.work().total_new_tokens(), 501);
 }
 
 TEST_F(SchedulerTest, FcfsAdmissionOrder)

@@ -83,8 +83,8 @@ TEST_F(SchedulerBudgetTest, DecodePassNeverOvershootsBudget)
         s.enqueue(add_prefilled(16, 50));
 
     const BatchPlan plan = s.schedule(0.0);
-    EXPECT_LE(plan.batched_tokens(), 10);
-    EXPECT_EQ(plan.batched_tokens(), 10);  // 4 + 4 + 2
+    EXPECT_LE(plan.work().total_new_tokens(), 10);
+    EXPECT_EQ(plan.work().total_new_tokens(), 10);  // 4 + 4 + 2
     ASSERT_EQ(plan.chunks.size(), 3u);
     EXPECT_EQ(plan.chunks[2].new_tokens, 2);
 }
@@ -115,7 +115,7 @@ TEST_F(SchedulerBudgetTest, FuzzedRunsStayWithinBudgetEveryStep)
                 }
             }
             const BatchPlan plan = s.schedule(t);
-            ASSERT_LE(plan.batched_tokens(), opts.max_batched_tokens)
+            ASSERT_LE(plan.work().total_new_tokens(), opts.max_batched_tokens)
                 << "round " << round << " step " << step;
             t += 0.01;
             complete(s, plan, t);
@@ -154,8 +154,8 @@ TEST_F(SchedulerRefundTest, PreemptedPlannedChunkIsRefunded)
     const BatchPlan plan = s.schedule(0.0);
     EXPECT_EQ(s.preemption_count(), 1);
     EXPECT_EQ(a->state, RequestState::kPrefill);  // re-admitted this step
-    EXPECT_LE(plan.batched_tokens(), 8);
-    EXPECT_EQ(plan.batched_tokens(), 8);
+    EXPECT_LE(plan.work().total_new_tokens(), 8);
+    EXPECT_EQ(plan.work().total_new_tokens(), 8);
 
     // No stale chunk for the victim's retracted decode work.
     for (const auto& c : plan.chunks) {

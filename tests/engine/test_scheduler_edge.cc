@@ -108,7 +108,7 @@ TEST_F(SchedulerEdge, HigherPriorityPrefillGetsBudgetFirst)
     const auto plan = s.schedule(0.0);
     ASSERT_FALSE(plan.empty());
     EXPECT_EQ(plan.chunks[0].request, high);
-    EXPECT_EQ(plan.batched_tokens(), 1000);
+    EXPECT_EQ(plan.work().total_new_tokens(), 1000);
 }
 
 TEST_F(SchedulerEdge, LowerClassPrefillServedWhileHigherClassCannotAdmit)
@@ -128,7 +128,7 @@ TEST_F(SchedulerEdge, LowerClassPrefillServedWhileHigherClassCannotAdmit)
     const auto plan = s.schedule(0.1);
     ASSERT_EQ(plan.chunks.size(), 1u);
     EXPECT_EQ(plan.chunks[0].request, low);
-    EXPECT_EQ(plan.batched_tokens(), 1000);
+    EXPECT_EQ(plan.work().total_new_tokens(), 1000);
     EXPECT_EQ(high->state, RequestState::kWaiting);
 }
 
@@ -155,30 +155,31 @@ TEST_F(SchedulerEdge, BatchPlanAccounting)
     s.enqueue(add(500, 5));
     s.enqueue(add(500, 5));
     const auto plan = s.schedule(0.0);
-    EXPECT_EQ(plan.batched_tokens(), 600);
-    parallel::BatchWork work;
-    plan.work_into(&work);
+    const parallel::BatchWork work = plan.work();
     EXPECT_EQ(work.total_new_tokens(), 600);
     EXPECT_EQ(work.num_seqs(), 2);
-    EXPECT_TRUE(work.chunks[0].is_prefill);
+    EXPECT_EQ(work.prefills.seqs, 2);
+    EXPECT_EQ(work.decodes, model::PhaseWork{});
 }
 
-TEST_F(SchedulerEdge, WorkIntoReplacesStaleChunks)
+TEST_F(SchedulerEdge, PlanWorkSumsItsChunks)
 {
     Scheduler s({}, &cache_);
     s.enqueue(add(300, 4));
-    const auto plan = s.schedule(0.0);
-    ASSERT_EQ(plan.chunks.size(), 1u);
 
-    // A buffer left over from a wider step must end up holding exactly
-    // this plan's chunk.
-    parallel::BatchWork work = parallel::BatchWork::decode(5, 1000);
-    plan.work_into(&work);
-    ASSERT_EQ(work.num_seqs(), 1);
-    EXPECT_EQ(work.chunks[0].new_tokens, 300);
-    EXPECT_EQ(work.chunks[0].past, 0);
-    EXPECT_TRUE(work.chunks[0].is_prefill);
-    EXPECT_EQ(work.total_new_tokens(), plan.batched_tokens());
+    // The whole prompt in one chunk: token i attends i + 1 keys.
+    const BatchPlan prefill = s.schedule(0.0);
+    ASSERT_EQ(prefill.chunks.size(), 1u);
+    EXPECT_EQ(prefill.work().prefills,
+              (model::PhaseWork{1, 300, 300 * 301 / 2, 300}));
+    EXPECT_EQ(prefill.work().decodes, model::PhaseWork{});
+    std::vector<Request*> fin;
+    s.on_step_complete(0.1, prefill, &fin);
+
+    // The next token decodes after the 300 cached ones.
+    const BatchPlan decode = s.schedule(0.1);
+    EXPECT_EQ(decode.work().prefills, model::PhaseWork{});
+    EXPECT_EQ(decode.work().decodes, (model::PhaseWork{1, 1, 301, 601}));
 }
 
 TEST(SchedulerSweep, ExpireDrainAndFailSweepRunningThenWaiting)

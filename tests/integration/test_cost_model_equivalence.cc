@@ -1,14 +1,17 @@
 /**
  * @file
- * Equivalence pins for the CostModel refactor: lifting `PerfModel` behind
- * the `model::CostModel` interface must not move a single bit of any
- * reported number. A frozen copy of the pre-interface step-time arithmetic
- * lives in this file as the reference; `PerfModel::evaluate` must match it
- * to exact double equality across a randomized (SP, TP, batch, context,
- * sliced) sweep, the factory's default must be the roofline model with
- * identical construction, and the cost-metrics instrumentation must not
- * perturb engine timings when enabled (and must not touch the registry
- * when disabled).
+ * Equivalence pins for the cost-model refactors: lifting `PerfModel`
+ * behind the `model::CostModel` interface, and pricing a step from
+ * per-phase integer sums instead of a per-chunk list, must not move a
+ * single bit of any reported number. A frozen copy of the pre-interface
+ * per-chunk step-time arithmetic lives in this file as the reference;
+ * `PerfModel::evaluate`, fed the `BatchWork` built from the same chunks,
+ * must match it to exact double equality (`EXPECT_EQ`) across randomized
+ * (SP, TP, batch, context, sliced) sweeps at the default feature factors.
+ * The factory's default must be the roofline model with identical
+ * construction, and the cost-metrics instrumentation must not perturb
+ * engine timings when enabled (and must not touch the registry when
+ * disabled).
  */
 
 #include <gtest/gtest.h>
@@ -30,16 +33,26 @@
 namespace shiftpar::parallel {
 namespace {
 
+/** One sequence's share of a step, as the pre-aggregate engine listed it. */
+struct Chunk
+{
+    std::int64_t new_tokens = 0;
+    std::int64_t past = 0;
+    bool is_prefill = false;
+};
+
 /**
  * Frozen copy of the roofline step-time arithmetic as it stood before the
- * CostModel interface existed. Deliberately NOT shared with production
- * code: this is the reference the refactored path is pinned against, and
- * it must keep the exact operation order of the original.
+ * CostModel interface existed, walking the chunk list. Deliberately NOT
+ * shared with production code: this is the reference the refactored path
+ * is pinned against, and it must keep the exact operation order of the
+ * original (the per-chunk attention and KV helpers it used are inlined
+ * verbatim).
  */
 StepTiming
 legacy_step_time(const hw::Node& node, const model::ModelConfig& m,
                  const PerfOptions& opts, const hw::CollectiveModel& coll,
-                 const BatchWork& work, const ParallelConfig& cfg,
+                 const std::vector<Chunk>& chunks, const ParallelConfig& cfg,
                  bool sliced_weights)
 {
     const int g = cfg.world();
@@ -53,7 +66,9 @@ legacy_step_time(const hw::Node& node, const model::ModelConfig& m,
                      opts.step_overhead_per_rank * (g - 1);
     }
 
-    const std::int64_t n_raw = work.total_new_tokens();
+    std::int64_t n_raw = 0;
+    for (const auto& c : chunks)
+        n_raw += c.new_tokens;
     if (n_raw == 0)
         return t;
 
@@ -61,7 +76,7 @@ legacy_step_time(const hw::Node& node, const model::ModelConfig& m,
     const double rows = static_cast<double>(n) / cfg.sp;
 
     double compute_tokens = 0.0;
-    for (const auto& c : work.chunks) {
+    for (const auto& c : chunks) {
         compute_tokens += static_cast<double>(c.new_tokens) *
                           (c.is_prefill ? opts.swiftkv_prefill_factor
                                         : opts.decode_compute_inflation);
@@ -84,21 +99,33 @@ legacy_step_time(const hw::Node& node, const model::ModelConfig& m,
         gemm_flops_pg, weight_read_pg + act_bytes_pg,
         node.gpu.effective_gemm_flops(wbytes));
 
+    // The former per-chunk helpers attn_flops(m, nt, past),
+    // kv_read_bytes(m, nt, past) and kv_write_bytes(m, nt).
+    const auto chunk_attn_flops = [&](double nt, double past) {
+        const double attended = nt * past + nt * (nt + 1.0) / 2.0;
+        return 4.0 * m.q_heads * m.head_dim * attended;
+    };
+    const auto chunk_kv_read = [&](double nt, double past) {
+        const double tokens_read = past + nt / 2.0;
+        return tokens_read * m.kv_bytes_per_token_layer();
+    };
+    const auto chunk_kv_write = [&](double nt) {
+        return nt * m.kv_bytes_per_token_layer();
+    };
+
     double attn_flops = 0.0;
     double kv_traffic = 0.0;
-    for (const auto& c : work.chunks) {
+    for (const auto& c : chunks) {
         const double nt = static_cast<double>(c.new_tokens);
         const double past = static_cast<double>(c.past);
         if (c.is_prefill) {
             const double f = opts.swiftkv_prefill_factor;
-            attn_flops += f * model::attn_flops(m, nt, past);
-            kv_traffic += f * model::kv_read_bytes(m, nt, past) +
-                          model::kv_write_bytes(m, nt);
+            attn_flops += f * chunk_attn_flops(nt, past);
+            kv_traffic += f * chunk_kv_read(nt, past) + chunk_kv_write(nt);
         } else {
-            attn_flops += opts.decode_compute_inflation *
-                          model::attn_flops(m, nt, past);
-            kv_traffic += model::kv_read_bytes(m, nt, past) +
-                          model::kv_write_bytes(m, nt);
+            attn_flops +=
+                opts.decode_compute_inflation * chunk_attn_flops(nt, past);
+            kv_traffic += chunk_kv_read(nt, past) + chunk_kv_write(nt);
         }
     }
     const double attn_flops_pg = attn_flops / g;
@@ -130,7 +157,7 @@ legacy_step_time(const hw::Node& node, const model::ModelConfig& m,
     t.attention = m.num_layers * attn_layer * opts.attention_scale;
     t.comm = m.num_layers * comm_layer * opts.comm_scale;
 
-    const double sampled = static_cast<double>(work.num_seqs());
+    const double sampled = static_cast<double>(chunks.size());
     const double head_flops = model::lm_head_flops(m, sampled) / g;
     const double head_bytes =
         static_cast<double>(m.vocab_size) * m.hidden_size * wbytes / g;
@@ -146,18 +173,28 @@ legacy_step_time(const hw::Node& node, const model::ModelConfig& m,
     return t;
 }
 
-BatchWork
-random_work(Rng& rng)
+std::vector<Chunk>
+random_chunks(Rng& rng)
 {
-    BatchWork work;
+    std::vector<Chunk> chunks;
     const int prefills = static_cast<int>(rng.uniform_int(0, 3));
     for (int i = 0; i < prefills; ++i) {
-        work.chunks.push_back({rng.uniform_int(1, 4096),
-                               rng.uniform_int(0, 8192), true});
+        chunks.push_back({rng.uniform_int(1, 4096),
+                          rng.uniform_int(0, 8192), true});
     }
     const int decodes = static_cast<int>(rng.uniform_int(0, 64));
     for (int i = 0; i < decodes; ++i)
-        work.chunks.push_back({1, rng.uniform_int(1, 8192), false});
+        chunks.push_back({1, rng.uniform_int(1, 8192), false});
+    return chunks;
+}
+
+/** @return the per-phase sums of `chunks`, built as the engine builds them. */
+BatchWork
+to_work(const std::vector<Chunk>& chunks)
+{
+    BatchWork work;
+    for (const auto& c : chunks)
+        work.add(c.new_tokens, c.past, c.is_prefill);
     return work;
 }
 
@@ -165,17 +202,29 @@ void
 expect_identical(const StepTiming& a, const StepTiming& b,
                  const std::string& context)
 {
+    EXPECT_EQ(a.gemm, b.gemm) << context;
+    EXPECT_EQ(a.attention, b.attention) << context;
+    EXPECT_EQ(a.comm, b.comm) << context;
+    EXPECT_EQ(a.overhead, b.overhead) << context;
+}
+
+void
+expect_within_4ulps(const StepTiming& a, const StepTiming& b,
+                    const std::string& context)
+{
     EXPECT_DOUBLE_EQ(a.gemm, b.gemm) << context;
     EXPECT_DOUBLE_EQ(a.attention, b.attention) << context;
     EXPECT_DOUBLE_EQ(a.comm, b.comm) << context;
     EXPECT_DOUBLE_EQ(a.overhead, b.overhead) << context;
 }
 
+/** Sweep `evaluate` against the frozen per-chunk reference; `exact`
+ *  demands bit equality, otherwise 4 ulps. */
 void
 randomized_equivalence_sweep(const model::ModelConfig& m,
                              const PerfOptions& opts,
                              const std::vector<ParallelConfig>& cfgs,
-                             std::uint64_t seed)
+                             std::uint64_t seed, bool exact = true)
 {
     const hw::Node node = hw::h200_node();
     const hw::CollectiveModel coll(node.link);
@@ -184,13 +233,17 @@ randomized_equivalence_sweep(const model::ModelConfig& m,
     for (int it = 0; it < 200; ++it) {
         const ParallelConfig cfg = cfgs[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(cfgs.size()) - 1))];
-        const BatchWork work = random_work(rng);
+        const std::vector<Chunk> chunks = random_chunks(rng);
         const bool sliced = rng.uniform_int(0, 1) == 1;
         const StepTiming expected =
-            legacy_step_time(node, m, opts, coll, work, cfg, sliced);
-        const StepTiming got = perf.evaluate(work, cfg, sliced);
-        expect_identical(got, expected,
-                         cfg.to_string() + " iter " + std::to_string(it));
+            legacy_step_time(node, m, opts, coll, chunks, cfg, sliced);
+        const StepTiming got = perf.evaluate(to_work(chunks), cfg, sliced);
+        const std::string context =
+            cfg.to_string() + " iter " + std::to_string(it);
+        if (exact)
+            expect_identical(got, expected, context);
+        else
+            expect_within_4ulps(got, expected, context);
     }
 }
 
@@ -215,7 +268,11 @@ TEST(CostModelEquivalence, NonDefaultOptionsMatchToo)
     opts.engine_overhead = false;
     opts.slicing_overhead_frac = 0.45;
     const std::vector<ParallelConfig> cfgs = {{1, 8}, {2, 4}, {8, 1}};
-    randomized_equivalence_sweep(model::llama_70b(), opts, cfgs, 17);
+    // Non-unit factors are applied once per phase sum, where the
+    // reference applies them once per chunk, so the products round
+    // differently: agreement is to 4 ulps, not to the bit.
+    randomized_equivalence_sweep(model::llama_70b(), opts, cfgs, 17,
+                                 /*exact=*/false);
 }
 
 TEST(CostModelEquivalence, MoeWithExpertParallelMatches)

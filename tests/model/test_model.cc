@@ -147,16 +147,21 @@ TEST(Flops, CausalAttentionExactSum)
 {
     const ModelConfig m = llama_70b();
     // 3 new tokens after 10 cached: attends 11 + 12 + 13 = 36 keys.
+    BatchWork w;
+    w.add(3, 10, true);
     const double per_pair = 4.0 * m.q_heads * m.head_dim;
-    EXPECT_DOUBLE_EQ(attn_flops(m, 3.0, 10.0), per_pair * 36.0);
+    EXPECT_DOUBLE_EQ(attn_flops(m, w.prefills), per_pair * 36.0);
 }
 
 TEST(Flops, DecodeAttentionReadsFullContext)
 {
     const ModelConfig m = llama_70b();
-    EXPECT_DOUBLE_EQ(kv_read_bytes(m, 1.0, 1000.0),
+    BatchWork w;
+    w.add(1, 1000, false);
+    EXPECT_DOUBLE_EQ(kv_read_bytes(m, w.decodes),
                      1000.5 * m.kv_bytes_per_token_layer());
-    EXPECT_DOUBLE_EQ(kv_write_bytes(m, 4.0),
+    w.add(4, 0, true);
+    EXPECT_DOUBLE_EQ(kv_write_bytes(m, w.prefills),
                      4.0 * m.kv_bytes_per_token_layer());
 }
 

@@ -74,8 +74,8 @@ TEST(ExpertParallel, RoutingCommAppearsOnlyWithEp)
     const auto m = model::qwen_30b_a3b();
     const PerfModel perf(hw::h200_node(), m);
     const auto work = BatchWork::prefill(8192);
-    const auto ep1 = perf.step_time(work, {8, 1, 1});
-    const auto ep8 = perf.step_time(work, {8, 1, 8});
+    const auto ep1 = perf.evaluate(work, {8, 1, 1});
+    const auto ep8 = perf.evaluate(work, {8, 1, 8});
     EXPECT_GT(ep8.comm, ep1.comm);
 }
 
@@ -96,8 +96,8 @@ TEST(ExpertParallel, LargeBatchWeightStreamingDropsWithEp)
     // traffic so memory-bound steps get faster even with routing comm.
     const auto m = model::qwen_30b_a3b();
     const PerfModel perf(hw::h200_node(), m);
-    const auto ep1 = perf.step_time(BatchWork::decode(256, 2048), {8, 1, 1});
-    const auto ep8 = perf.step_time(BatchWork::decode(256, 2048), {8, 1, 8});
+    const auto ep1 = perf.evaluate(BatchWork::decode(256, 2048), {8, 1, 1});
+    const auto ep8 = perf.evaluate(BatchWork::decode(256, 2048), {8, 1, 8});
     EXPECT_LT(ep8.gemm, ep1.gemm);
 }
 

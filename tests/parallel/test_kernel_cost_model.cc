@@ -17,6 +17,7 @@
 #include "hw/presets.h"
 #include "model/presets.h"
 #include "parallel/kernel_cost_model.h"
+#include "util/rng.h"
 
 namespace shiftpar::parallel {
 namespace {
@@ -229,12 +230,92 @@ TEST_F(KernelCostModelTest, PrefillAndDecodeAttentionRowsAreSeparate)
     EXPECT_NE(find(rows, "attn_decode"), nullptr);
 
     BatchWork mixed;
-    mixed.chunks.push_back({512, 0, true});
-    mixed.chunks.push_back({1, 1024, false});
+    mixed.add(512, 0, true);
+    mixed.add(1, 1024, false);
     rows.clear();
     kernel_.evaluate(mixed, {1, 8}, false, &rows);
     EXPECT_NE(find(rows, "attn_prefill"), nullptr);
     EXPECT_NE(find(rows, "attn_decode"), nullptr);
+}
+
+TEST_F(KernelCostModelTest, AttentionRowsMatchPerChunkReference)
+{
+    // The attention rows are priced from per-phase sums. Their features
+    // must equal the per-chunk walk they replaced: to the bit at unit
+    // feature factors (every term is an exact integer or half-integer),
+    // and to 4 ulps when the factors round once per phase instead of
+    // once per chunk.
+    struct Chunk
+    {
+        std::int64_t new_tokens;
+        std::int64_t past;
+        bool is_prefill;
+    };
+    const std::vector<ParallelConfig> cfgs = {{1, 8}, {2, 4}, {8, 1}};
+    for (const bool unit : {true, false}) {
+        PerfOptions opts;
+        if (!unit) {
+            opts.swiftkv_prefill_factor = 0.6;
+            opts.decode_compute_inflation = 1.5;
+        }
+        const KernelCostModel km(node_, llama_, coeffs_, opts);
+        const double L = llama_.num_layers;
+        const double b = llama_.kv_bytes_per_token_layer();
+        Rng rng(unit ? 21 : 22);
+        for (int it = 0; it < 200; ++it) {
+            SCOPED_TRACE(::testing::Message() << unit << " iter " << it);
+            const ParallelConfig cfg = cfgs[static_cast<std::size_t>(
+                rng.uniform_int(0, 2))];
+            std::vector<Chunk> chunks;
+            for (auto i = rng.uniform_int(0, 3); i > 0; --i) {
+                chunks.push_back({rng.uniform_int(1, 8192),
+                                  rng.uniform_int(0, 131072), true});
+            }
+            for (auto i = rng.uniform_int(0, 256); i > 0; --i)
+                chunks.push_back({1, rng.uniform_int(0, 131072), false});
+
+            BatchWork work;
+            double flops[2] = {0.0, 0.0};  // [prefill, decode]
+            double kv[2] = {0.0, 0.0};
+            for (const Chunk& c : chunks) {
+                work.add(c.new_tokens, c.past, c.is_prefill);
+                const double nt = static_cast<double>(c.new_tokens);
+                const double past = static_cast<double>(c.past);
+                const double attn = 4.0 * llama_.q_heads * llama_.head_dim *
+                                    (nt * past + nt * (nt + 1.0) / 2.0);
+                const double read = (past + nt / 2.0) * b;
+                const int ph = c.is_prefill ? 0 : 1;
+                const double f = c.is_prefill
+                                     ? opts.swiftkv_prefill_factor
+                                     : opts.decode_compute_inflation;
+                flops[ph] += f * attn;
+                kv[ph] += (c.is_prefill ? f : 1.0) * read + nt * b;
+            }
+
+            std::vector<KernelCost> rows;
+            km.evaluate(work, cfg, false, &rows);
+            const int g = cfg.world();
+            const int rep = kv_replication(llama_, cfg);
+            const char* names[2] = {"attn_prefill", "attn_decode"};
+            for (int ph = 0; ph < 2; ++ph) {
+                const KernelCost* row = find(rows, names[ph]);
+                const std::int64_t seqs =
+                    ph == 0 ? work.prefills.seqs : work.decodes.seqs;
+                ASSERT_EQ(row != nullptr, seqs > 0) << names[ph];
+                if (row == nullptr)
+                    continue;
+                const double want_flops = L * flops[ph] / g;
+                const double want_bytes = L * kv[ph] * rep / g;
+                if (unit) {
+                    EXPECT_EQ(row->flops, want_flops) << names[ph];
+                    EXPECT_EQ(row->bytes, want_bytes) << names[ph];
+                } else {
+                    EXPECT_DOUBLE_EQ(row->flops, want_flops) << names[ph];
+                    EXPECT_DOUBLE_EQ(row->bytes, want_bytes) << names[ph];
+                }
+            }
+        }
+    }
 }
 
 TEST_F(KernelCostModelTest, SpPaddingEqualizesGemmWork)

@@ -49,7 +49,7 @@ TEST_F(GoldenPerf, SingleGpuPrefillMatchesClosedForm)
 {
     const PerfModel perf(node_, m_, opts_);
     const double n = 4096.0;
-    const auto t = perf.step_time(BatchWork::prefill(4096), {1, 1});
+    const auto t = perf.evaluate(BatchWork::prefill(4096), {1, 1});
 
     // GEMM region: compute-bound at this size.
     const double gemm_flops = model::layer_gemm_flops(m_, n);
@@ -66,9 +66,10 @@ TEST_F(GoldenPerf, SingleGpuPrefillMatchesClosedForm)
     EXPECT_NEAR(t.gemm, expect_gemm, expect_gemm * 1e-12);
 
     // Attention region.
-    const double attn_flops = model::attn_flops(m_, n, 0.0);
-    const double kv_bytes = model::kv_read_bytes(m_, n, 0.0) +
-                            model::kv_write_bytes(m_, n);
+    const model::PhaseWork prompt = BatchWork::prefill(4096).prefills;
+    const double attn_flops = model::attn_flops(m_, prompt);
+    const double kv_bytes = model::kv_read_bytes(m_, prompt) +
+                            model::kv_write_bytes(m_, prompt);
     const double expect_attn =
         std::max(attn_flops / attn_rate_, kv_bytes / hbm_) +
         node_.gpu.kernel_overhead;
@@ -83,7 +84,7 @@ TEST_F(GoldenPerf, Tp2AllReduceMatchesAlphaBeta)
 {
     const PerfModel perf(node_, m_, opts_);
     const double n = 1000.0;
-    const auto t = perf.step_time(BatchWork::prefill(1000), {1, 2});
+    const auto t = perf.evaluate(BatchWork::prefill(1000), {1, 2});
 
     // Per layer: two all-reduces of n*d*act_bytes across 2 ranks.
     const double bytes = n * m_.hidden_size * opts_.act_bytes;
@@ -96,7 +97,7 @@ TEST_F(GoldenPerf, Sp2AllToAllMatchesAlphaBeta)
 {
     const PerfModel perf(node_, m_, opts_);
     const double n = 1000.0;
-    const auto t = perf.step_time(BatchWork::prefill(1000), {2, 1});
+    const auto t = perf.evaluate(BatchWork::prefill(1000), {2, 1});
 
     const double rows = n / 2.0;
     const double qkv_cols =
@@ -119,7 +120,7 @@ TEST_F(GoldenPerf, DecodeWeightStreamIsTheSpBottleneck)
     // Pure SP decode of batch 8 (one row per rank): the GEMM region must
     // be exactly the full-layer weight stream (memory-bound).
     const PerfModel perf(node_, m_, opts_);
-    const auto t = perf.step_time(BatchWork::decode(8, 512), {8, 1});
+    const auto t = perf.evaluate(BatchWork::decode(8, 512), {8, 1});
     const double bytes = model::layer_weight_read_bytes(m_, 8.0) +
                          model::layer_activation_bytes(m_, 8.0) / 8.0;
     const double lm_bytes =
@@ -134,8 +135,8 @@ TEST_F(GoldenPerf, PaddingRoundsRowsUp)
     // Batch 9 on SP=8 pads to 16: identical GEMM cost to batch 16 and
     // strictly more than unpadded batch 9 on TP.
     const PerfModel perf(node_, m_, opts_);
-    const auto t9 = perf.step_time(BatchWork::decode(9, 256), {8, 1});
-    const auto t16 = perf.step_time(BatchWork::decode(16, 256), {8, 1});
+    const auto t9 = perf.evaluate(BatchWork::decode(9, 256), {8, 1});
+    const auto t16 = perf.evaluate(BatchWork::decode(16, 256), {8, 1});
     EXPECT_DOUBLE_EQ(t9.gemm, t16.gemm);
 }
 
@@ -144,7 +145,7 @@ TEST_F(GoldenPerf, OverheadFormula)
     const PerfModel perf(node_, m_, opts_);
     for (int g : {1, 2, 4, 8}) {
         const ParallelConfig cfg{1, g};
-        const auto t = perf.step_time(BatchWork::decode(1, 16), cfg);
+        const auto t = perf.evaluate(BatchWork::decode(1, 16), cfg);
         EXPECT_DOUBLE_EQ(t.overhead,
                          opts_.step_overhead_base +
                              opts_.step_overhead_per_rank * (g - 1));
@@ -158,8 +159,8 @@ TEST_F(GoldenPerf, SwiftKvScalesGemmExactly)
     const PerfModel plain(node_, m_, opts_);
     const PerfModel fast(node_, m_, swift);
     const double n = 100000.0;  // deep in the compute-bound regime
-    const auto tp = plain.step_time(BatchWork::prefill(100000), {1, 1});
-    const auto tf = fast.step_time(BatchWork::prefill(100000), {1, 1});
+    const auto tp = plain.evaluate(BatchWork::prefill(100000), {1, 1});
+    const auto tf = fast.evaluate(BatchWork::prefill(100000), {1, 1});
     // Compute-bound: gemm time halves up to the fixed kernel overheads
     // and weight-stream floor.
     EXPECT_NEAR(tf.gemm / tp.gemm, 0.5, 0.02);

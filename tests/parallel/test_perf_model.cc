@@ -24,7 +24,7 @@ class PerfModelTest : public ::testing::Test
 
 TEST_F(PerfModelTest, EmptyBatchCostsOnlyOverhead)
 {
-    const StepTiming t = perf_.step_time(BatchWork{}, {1, 8});
+    const StepTiming t = perf_.evaluate(BatchWork{}, {1, 8});
     EXPECT_DOUBLE_EQ(t.gemm, 0.0);
     EXPECT_DOUBLE_EQ(t.attention, 0.0);
     EXPECT_DOUBLE_EQ(t.comm, 0.0);
@@ -34,7 +34,7 @@ TEST_F(PerfModelTest, EmptyBatchCostsOnlyOverhead)
 TEST_F(PerfModelTest, ComponentsNonNegativeAndSumToTotal)
 {
     const auto work = BatchWork::prefill(4096);
-    const StepTiming t = perf_.step_time(work, {4, 2});
+    const StepTiming t = perf_.evaluate(work, {4, 2});
     EXPECT_GE(t.gemm, 0.0);
     EXPECT_GE(t.attention, 0.0);
     EXPECT_GE(t.comm, 0.0);
@@ -44,7 +44,7 @@ TEST_F(PerfModelTest, ComponentsNonNegativeAndSumToTotal)
 
 TEST_F(PerfModelTest, SingleGpuHasNoComm)
 {
-    const StepTiming t = perf_.step_time(BatchWork::prefill(2048), {1, 1});
+    const StepTiming t = perf_.evaluate(BatchWork::prefill(2048), {1, 1});
     EXPECT_DOUBLE_EQ(t.comm, 0.0);
 }
 
@@ -67,8 +67,8 @@ TEST_F(PerfModelTest, SpPrefillBeatsTpPrefill)
 TEST_F(PerfModelTest, SpPrefillCommSmallerThanTp)
 {
     const auto work = BatchWork::prefill(8192);
-    const StepTiming tp = perf_.step_time(work, {1, 8});
-    const StepTiming sp = perf_.step_time(work, {8, 1});
+    const StepTiming tp = perf_.evaluate(work, {1, 8});
+    const StepTiming sp = perf_.evaluate(work, {8, 1});
     EXPECT_LT(sp.comm, tp.comm / 2.0);
 }
 
@@ -105,8 +105,8 @@ TEST_F(PerfModelTest, LargeBatchDecodeFavorsSp)
 TEST_F(PerfModelTest, SpPaddingPenalizesSmallBatches)
 {
     // Section 3.2.1: batch 9 on SP=8 pads to 16 — same cost as batch 16.
-    const auto t9 = perf_.step_time(BatchWork::decode(9, 1024), {8, 1});
-    const auto t16 = perf_.step_time(BatchWork::decode(16, 1024), {8, 1});
+    const auto t9 = perf_.evaluate(BatchWork::decode(9, 1024), {8, 1});
+    const auto t16 = perf_.evaluate(BatchWork::decode(16, 1024), {8, 1});
     // GEMM time identical because padded tokens compute too.
     EXPECT_DOUBLE_EQ(t9.gemm, t16.gemm);
 }
@@ -116,8 +116,8 @@ TEST_F(PerfModelTest, CommVolumeIndependentOfTpDegree)
     // Table 2: TP's per-rank comm volume does not shrink with degree, so
     // comm per layer stays ~flat while compute shrinks.
     const auto work = BatchWork::prefill(8192);
-    const auto t2 = perf_.step_time(work, {1, 2});
-    const auto t8 = perf_.step_time(work, {1, 8});
+    const auto t2 = perf_.evaluate(work, {1, 2});
+    const auto t8 = perf_.evaluate(work, {1, 8});
     EXPECT_GT(t8.comm, 0.8 * t2.comm);
     // Comm-to-compute ratio grows with TP degree.
     EXPECT_GT(t8.comm / t8.gemm, t2.comm / t2.gemm);
@@ -129,10 +129,10 @@ TEST_F(PerfModelTest, SpCommRatioGrowsMuchSlowerThanTp)
     // comm-to-compute ratio is near-constant (it grows only by the
     // (P-1)/P wire factor), while TP's ratio grows linearly in degree.
     const auto work = BatchWork::prefill(8192);
-    const auto s2 = perf_.step_time(work, {2, 1});
-    const auto s8 = perf_.step_time(work, {8, 1});
-    const auto t2 = perf_.step_time(work, {1, 2});
-    const auto t8 = perf_.step_time(work, {1, 8});
+    const auto s2 = perf_.evaluate(work, {2, 1});
+    const auto s8 = perf_.evaluate(work, {8, 1});
+    const auto t2 = perf_.evaluate(work, {1, 2});
+    const auto t8 = perf_.evaluate(work, {1, 8});
     EXPECT_LT(s8.comm, s2.comm);  // SP comm volume shrinks with degree
     EXPECT_GT(t8.comm, 0.8 * t2.comm);  // TP comm volume does not
     const double sp_growth = (s8.comm / s8.gemm) / (s2.comm / s2.gemm);
@@ -145,16 +145,16 @@ TEST_F(PerfModelTest, SpCommRatioGrowsMuchSlowerThanTp)
 TEST_F(PerfModelTest, OverheadGrowsWithGroupSize)
 {
     const auto w = BatchWork::decode(1, 128);
-    EXPECT_LT(perf_.step_time(w, {1, 1}).overhead,
-              perf_.step_time(w, {1, 8}).overhead);
+    EXPECT_LT(perf_.evaluate(w, {1, 1}).overhead,
+              perf_.evaluate(w, {1, 8}).overhead);
 }
 
 TEST_F(PerfModelTest, SlicedShiftStepIsSlower)
 {
     // Section 3.3.2: on-the-fly slicing pays a transpose penalty.
     const auto w = BatchWork::decode(4, 2048);
-    const double plain = perf_.step_time(w, {1, 8}, false).total();
-    const double sliced = perf_.step_time(w, {1, 8}, true).total();
+    const double plain = perf_.evaluate(w, {1, 8}, false).total();
+    const double sliced = perf_.evaluate(w, {1, 8}, true).total();
     EXPECT_GT(sliced, plain);
 }
 
@@ -205,8 +205,8 @@ TEST_F(PerfModelTest, KvReplicationInflatesAttentionTraffic)
     // 8-way group replicates KV 2x vs a 4-way group: per-GPU attention
     // traffic per step should not improve 2x going 4 -> 8 ranks.
     const auto w = BatchWork::decode(64, 8192);
-    const double t4 = pm.step_time(w, {4, 1}).attention;
-    const double t8 = pm.step_time(w, {8, 1}).attention;
+    const double t4 = pm.evaluate(w, {4, 1}).attention;
+    const double t8 = pm.evaluate(w, {8, 1}).attention;
     EXPECT_GT(t8, t4 * 0.8);  // replication cancels the extra sharding
 }
 
@@ -218,15 +218,37 @@ TEST_F(PerfModelTest, ConfigLargerThanNodeRejected)
 TEST(BatchWork, Helpers)
 {
     const auto p = BatchWork::prefill(100);
-    ASSERT_EQ(p.chunks.size(), 1u);
-    EXPECT_TRUE(p.chunks[0].is_prefill);
+    EXPECT_EQ(p.prefills, (model::PhaseWork{1, 100, 100 * 101 / 2, 100}));
+    EXPECT_EQ(p.decodes, model::PhaseWork{});
     EXPECT_EQ(p.total_new_tokens(), 100);
 
     const auto d = BatchWork::decode(5, 300);
     EXPECT_EQ(d.num_seqs(), 5);
     EXPECT_EQ(d.total_new_tokens(), 5);
-    EXPECT_FALSE(d.chunks[0].is_prefill);
-    EXPECT_EQ(d.chunks[0].past, 300);
+    EXPECT_EQ(d.prefills, model::PhaseWork{});
+    EXPECT_EQ(d.decodes, (model::PhaseWork{5, 5, 5 * 301, 5 * 601}));
+}
+
+TEST(BatchWork, DecodeSumsMatchOneAddPerSequence)
+{
+    for (const std::int64_t n : {0, 1, 7, 4096}) {
+        for (const std::int64_t ctx : {0, 1, 300, 131072}) {
+            BatchWork added;
+            for (std::int64_t i = 0; i < n; ++i)
+                added.add(1, ctx, false);
+            const BatchWork direct = BatchWork::decode(n, ctx);
+            EXPECT_EQ(direct.decodes, added.decodes) << n << "@" << ctx;
+            EXPECT_EQ(direct.prefills, added.prefills) << n << "@" << ctx;
+        }
+    }
+}
+
+TEST(BatchWorkDeathTest, AddRejectsEmptyChunksAndNegativePast)
+{
+    BatchWork w;
+    EXPECT_DEATH(w.add(0, 10, true), "new_tokens >= 1");
+    EXPECT_DEATH(w.add(-1, 10, false), "new_tokens >= 1");
+    EXPECT_DEATH(w.add(4, -1, true), "past >= 0");
 }
 
 TEST(StepTiming, PlusEquals)

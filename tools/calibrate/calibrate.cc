@@ -202,9 +202,9 @@ synthesize_profile(const hw::KernelCoeffs& coeffs, double noise_frac,
     batches.push_back(model::BatchWork::decode(64, 2048));
     batches.push_back(model::BatchWork::decode(256, 4096));
     model::BatchWork mixed;
-    mixed.chunks.push_back({256, 0, true});
+    mixed.add(256, 0, true);
     for (int i = 0; i < 32; ++i)
-        mixed.chunks.push_back({1, 1024 + 64 * i, false});
+        mixed.add(1, 1024 + 64 * i, false);
     batches.push_back(mixed);
 
     Rng rng(seed);
