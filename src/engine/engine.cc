@@ -70,8 +70,9 @@ void
 Engine::enqueue_new(const RequestSpec& spec, RequestId id, bool migrated_in,
                     std::int64_t already_decoded)
 {
-    SP_ASSERT(!live_.contains(id), "request ", id, " is already live here");
-    auto req = std::make_unique<Request>();
+    const auto [it, inserted] = live_.try_emplace(id);
+    SP_ASSERT(inserted, "request ", id, " is already live here");
+    Request* req = &it->second;
     req->id = id;
     req->spec = spec;
     req->prefill_target = spec.prompt_tokens;
@@ -83,8 +84,7 @@ Engine::enqueue_new(const RequestSpec& spec, RequestId id, bool migrated_in,
         req->decoded = already_decoded;
         req->first_token = spec.arrival;
     }
-    scheduler_.enqueue(req.get());
-    live_.emplace(id, std::move(req));
+    scheduler_.enqueue(req);
     if (cfg_.trace) {
         cfg_.trace->publish_request({cfg_.trace_id, id,
                                      obs::RequestPhase::kSubmit,
@@ -99,7 +99,7 @@ Engine::cancel(RequestId id)
     const auto it = live_.find(id);
     if (it == live_.end())
         return false;
-    Request* r = it->second.get();
+    Request* r = &it->second;
     scheduler_.cancel(r);
     free_terminal({&r, 1});
     ++cancelled_;
@@ -116,8 +116,8 @@ Engine::queued_unscheduled(RequestId id) const
 {
     const auto it = live_.find(id);
     return it != live_.end() &&
-           it->second->state == RequestState::kWaiting &&
-           it->second->first_scheduled < 0.0;
+           it->second.state == RequestState::kWaiting &&
+           it->second.first_scheduled < 0.0;
 }
 
 void
@@ -138,7 +138,7 @@ Engine::request_kv_blocks() const
 {
     std::int64_t blocks = 0;
     for (const auto& [id, r] : live_)
-        blocks += r->kv.num_blocks();
+        blocks += r.kv.num_blocks();
     return blocks;
 }
 
@@ -287,11 +287,19 @@ Engine::step()
     // Deadline expiry precedes scheduling so a past-deadline request
     // never takes another token of compute; eviction alone is progress.
     const bool expired = expire_now();
-    BatchPlan plan = scheduler_.schedule(now_);
-    if (plan.empty())
-        return expired;
+    // A steady step decodes k more tokens for every running request
+    // without visiting them; any other step is planned here and applied
+    // after it is priced.
+    const std::optional<parallel::BatchWork> steady =
+        scheduler_.steady_step(now_);
+    BatchPlan plan;
+    if (!steady) {
+        plan = scheduler_.schedule(now_);
+        if (plan.empty())
+            return expired;
+    }
 
-    const parallel::BatchWork work = plan.work();
+    const parallel::BatchWork& work = steady ? *steady : plan.work();
     const std::int64_t batched = work.total_new_tokens();
     const ExecutionPolicy::Choice choice = policy_->choose(batched);
 
@@ -333,17 +341,19 @@ Engine::step()
     if (cfg_.trace)
         cfg_.trace->on_step(ev);
 
-    std::vector<Request*> finished;
-    scheduler_.on_step_complete(now_, plan, &finished);
-    for (const Request* r : finished) {
-        if (on_finish_ && !on_finish_(*r))
-            continue;  // duplicate copy of an already-settled request
-        metrics_.on_request_finished(*r);
+    if (!steady) {
+        std::vector<Request*> finished;
+        scheduler_.on_step_complete(now_, plan, &finished);
+        for (const Request* r : finished) {
+            if (on_finish_ && !on_finish_(*r))
+                continue;  // duplicate copy of an already-settled request
+            metrics_.on_request_finished(*r);
+        }
+        free_terminal(finished);
+        SP_DEBUG_ASSERT(cache_.accounting_consistent(request_kv_blocks()),
+                        "KV accounting drifted: request tables and prefix "
+                        "entries do not hold exactly the pool's used blocks");
     }
-    free_terminal(finished);
-    SP_DEBUG_ASSERT(cache_.accounting_consistent(request_kv_blocks()),
-                    "KV accounting drifted: request tables and prefix "
-                    "entries do not hold exactly the pool's used blocks");
 
     if (cfg_.trace) {
         obs::GaugeEvent g;

@@ -400,10 +400,11 @@ class Engine : public sim::Component
     Scheduler scheduler_;
     std::unique_ptr<ExecutionPolicy> policy_;
     Metrics metrics_;
-    /** Waiting and running requests by id, each freed once terminal.
+    /** Waiting and running requests by id, each held in its map node
+     *  (whose address the scheduler keeps) and freed once terminal.
      *  Queue order is the scheduler's; only the order-free Debug KV sum
      *  iterates this map. */
-    std::unordered_map<RequestId, std::unique_ptr<Request>> live_;
+    std::unordered_map<RequestId, Request> live_;
     std::function<bool(const Request&)> on_finish_;
     std::function<void(RequestId)> on_expire_;
     double now_ = 0.0;

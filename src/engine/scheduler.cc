@@ -19,13 +19,20 @@ owed_tokens(const Request* r)
 
 } // namespace
 
-parallel::BatchWork
-BatchPlan::work() const
+std::int64_t
+BatchPlan::retract(const Request* r)
 {
-    parallel::BatchWork w;
-    for (const auto& c : chunks)
-        w.add(c.new_tokens, c.past, c.is_prefill);
-    return w;
+    // A request has at most one chunk per step.
+    const auto it = std::find_if(chunks.begin(), chunks.end(),
+                                 [&](const ScheduledChunk& c) {
+                                     return c.request == r;
+                                 });
+    if (it == chunks.end())
+        return 0;
+    work_.remove(it->new_tokens, it->past, it->is_prefill);
+    const std::int64_t tokens = it->new_tokens;
+    chunks.erase(it);
+    return tokens;
 }
 
 Scheduler::Scheduler(SchedulerOptions opts, kvcache::CacheManager* cache)
@@ -33,6 +40,8 @@ Scheduler::Scheduler(SchedulerOptions opts, kvcache::CacheManager* cache)
 {
     SP_ASSERT(cache != nullptr);
     SP_ASSERT(opts_.max_batched_tokens >= 1 && opts_.max_running_seqs >= 1);
+    SP_ASSERT(opts_.decode_tokens_per_step >= 1);
+    run_.residues.assign(static_cast<std::size_t>(cache_->block_size()), 0);
 }
 
 void
@@ -47,6 +56,7 @@ void
 Scheduler::enqueue(Request* r)
 {
     SP_ASSERT(r != nullptr && r->state == RequestState::kWaiting);
+    materialize();
     if (r->spec.deadline > 0.0)
         deadline_floor_ = std::min(deadline_floor_, r->spec.deadline);
     outstanding_ += owed_tokens(r);
@@ -105,15 +115,7 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
                 continue;
             if (pass == 0 && in_plan(victim))
                 continue;
-            std::int64_t retracted = 0;
-            if (in_plan(victim)) {
-                std::erase_if(plan->chunks, [&](const ScheduledChunk& c) {
-                    if (c.request != victim)
-                        return false;
-                    retracted += c.new_tokens;
-                    return true;
-                });
-            }
+            const std::int64_t retracted = plan->retract(victim);
             retire(victim);
             victim->reset_for_recompute();
             outstanding_ += owed_tokens(victim);  // back, owing a recompute
@@ -130,6 +132,7 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
 BatchPlan
 Scheduler::schedule(double now)
 {
+    materialize();
     BatchPlan plan;
     // Every running sequence plus one admission, so a typical step never
     // re-grows the plan.
@@ -203,7 +206,7 @@ Scheduler::schedule(double now)
                 std::find(running_.begin(), running_.end(), r);
             i = static_cast<std::size_t>(pos - running_.begin());
         }
-        plan.chunks.push_back({r, tokens, past, false});
+        plan.push({r, tokens, past, false});
         budget -= tokens;
         ++i;
     }
@@ -287,6 +290,7 @@ Scheduler::cancel(Request* r)
                   r->state == RequestState::kPrefill ||
                   r->state == RequestState::kDecode,
               "cancel of a request that is neither waiting nor running");
+    materialize();
     if (r->state == RequestState::kWaiting) {
         const auto it = std::find(waiting_.begin(), waiting_.end(), r);
         SP_ASSERT(it != waiting_.end(), "waiting request not in queue");
@@ -318,6 +322,7 @@ Scheduler::take_if(Pred pred)
 {
     // The sweep visits every live request, so it also makes the deadline
     // floor exact again: the minimum over the survivors.
+    materialize();
     std::vector<Request*> taken;
     double floor = std::numeric_limits<double>::infinity();
     const auto take = [&](Request* r) {
@@ -414,6 +419,8 @@ Scheduler::steal_waiting(double now, std::int64_t max_tokens)
             continue;
         if (r->spec.prompt_tokens + r->spec.output_tokens > max_tokens)
             continue;
+        // No materialize(): a steady run keeps the waiting queue empty,
+        // so no run is open when there is a victim.
         erase_waiting(std::next(it).base());
         retire(r);  // holds no KV or prefix pin: settles its owed tokens
         r->state = RequestState::kMigrated;
@@ -477,7 +484,7 @@ Scheduler::schedule_prefill(Request* r, std::int64_t budget, BatchPlan* plan)
         chunk = to_prefix;  // schedule just the shared part this step
     }
     r->prefix_filled += to_prefix;
-    plan->chunks.push_back({r, chunk, past, true});
+    plan->push({r, chunk, past, true});
     publish(r, obs::RequestPhase::kPrefillChunk, sched_now_, chunk);
     return chunk;
 }
@@ -487,6 +494,19 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
                             std::vector<Request*>* finished)
 {
     SP_ASSERT(finished != nullptr);
+    materialize();
+    // While the chunks are walked, find out whether the next step may be
+    // steady: every running request had a chunk, every one that did not
+    // finish is now decoding, none waits, and k tokens each fit the
+    // budget. A chunk leaves its request's context at `past + new_tokens`.
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    const std::int64_t block_size = std::ssize(run_.residues);
+    std::fill(run_.residues.begin(), run_.residues.end(), 0);
+    bool steady = plan.chunks.size() == running_.size() && waiting_.empty();
+    std::int64_t seqs = 0;
+    std::int64_t fewest_left = std::numeric_limits<std::int64_t>::max();
+    std::int64_t context = 0;
+    const std::size_t finished_before = finished->size();
     for (const auto& c : plan.chunks) {
         Request* r = c.request;
         outstanding_ -= c.new_tokens;
@@ -494,8 +514,10 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
             r->prefilled += c.new_tokens;
             SP_ASSERT(r->prefilled <= r->prefill_target,
                       "prefill overshoot");
-            if (!r->prefill_done())
+            if (!r->prefill_done()) {
+                steady = false;
                 continue;
+            }
             // The step that completes prefill also samples the next output
             // token (vLLM semantics): the first token for fresh requests,
             // the resumption token after a recompute preemption.
@@ -513,12 +535,110 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
             r->state = RequestState::kFinished;
             r->finished = now;
             retire(r);
-            running_.erase(std::find(running_.begin(), running_.end(), r));
             finished->push_back(r);
             publish(r, obs::RequestPhase::kFinish, now,
                     r->spec.output_tokens);
+        } else if (steady) {
+            ++seqs;
+            // kv.num_tokens() mod block_size, from the block count that
+            // already holds ⌈tokens / block_size⌉ (no division).
+            const std::int64_t in_last =
+                r->kv.num_tokens() - (r->kv.num_blocks() - 1) * block_size;
+            ++run_.residues[in_last == block_size ? 0 : in_last];
+            fewest_left =
+                std::min(fewest_left, r->spec.output_tokens - r->decoded);
+            context += c.past + c.new_tokens;
         }
     }
+    if (finished->size() > finished_before) {
+        // One order-preserving compaction instead of an erase per finish.
+        std::erase_if(running_, [](const Request* r) {
+            return r->state == RequestState::kFinished;
+        });
+    }
+    // Steady steps end one step before the next request could finish.
+    // `work` is the first one's: k tokens per request after `context`.
+    steady = steady && seqs > 0 && seqs * k <= opts_.max_batched_tokens;
+    run_.limit = steady ? (fewest_left - 1) / k : 0;
+    run_.armed = run_.limit >= 1;
+    run_.seqs = seqs;
+    run_.work.decodes = {.seqs = seqs,
+                         .tokens = k * seqs,
+                         .pairs = k * context + seqs * (k * (k + 1) / 2),
+                         .read2 = 2 * context + k * seqs};
+}
+
+std::optional<parallel::BatchWork>
+Scheduler::steady_step(double now)
+{
+    if (!run_.armed || run_.steps == run_.limit || now >= deadline_floor_ ||
+        !cache_->try_charge(steady_blocks()))
+        return std::nullopt;
+    const parallel::BatchWork work = run_.work;
+    // Each request decodes k tokens, so by the next step each past has
+    // grown by k: every chunk's pairs grow by k·k and its doubled KV
+    // read by 2k.
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    const std::int64_t tokens = k * run_.seqs;
+    ++run_.steps;
+    outstanding_ -= tokens;
+    run_.work.decodes.pairs += k * tokens;
+    run_.work.decodes.read2 += 2 * tokens;
+    SP_DEBUG_ASSERT(steady_consistent(),
+                    "steady run drifted from its running requests");
+    return work;
+}
+
+std::int64_t
+Scheduler::steady_blocks() const
+{
+    // A request that armed at KV residue r sits at s = (r + steps·k) mod
+    // bs. Appending k tokens from s takes ⌊k/bs⌋ blocks, plus one more
+    // when s is 0 or above bs - (k mod bs): the k mod bs residues
+    // (bs - j) mod bs, j < k mod bs.
+    const std::int64_t bs = std::ssize(run_.residues);
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    const std::int64_t shift = run_.steps * k % bs;
+    std::int64_t blocks = run_.seqs * (k / bs);
+    for (std::int64_t j = 0; j < k % bs; ++j)
+        blocks += run_.residues[(2 * bs - j - shift) % bs];
+    return blocks;
+}
+
+void
+Scheduler::materialize()
+{
+    if (run_.steps > 0) {
+        const std::int64_t tokens = run_.steps * opts_.decode_tokens_per_step;
+        for (Request* r : running_) {
+            r->decoded += tokens;
+            cache_->credit(r->kv, tokens);
+        }
+    }
+    run_.armed = false;
+    run_.steps = 0;
+}
+
+bool
+Scheduler::steady_consistent() const
+{
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    const std::int64_t ahead = k * run_.steps;
+    parallel::BatchWork next;  // the next steady step's sums
+    std::int64_t owed = 0;
+    std::int64_t blocks = 0;
+    bool ok = waiting_.empty() && std::ssize(running_) == run_.seqs;
+    for (const Request* r : running_) {
+        const std::int64_t tokens = r->kv.num_tokens() + ahead;
+        next.add(k, r->prefix_filled + tokens, /*is_prefill=*/false);
+        owed += owed_tokens(r) - ahead;
+        blocks += cache_->blocks_for_tokens(tokens);
+        ok = ok && r->state == RequestState::kDecode &&
+             (r->spec.deadline <= 0.0 ||
+              r->spec.deadline >= deadline_floor_);
+    }
+    return ok && next == run_.work && owed == outstanding_ &&
+           cache_->accounting_consistent(blocks);
 }
 
 double

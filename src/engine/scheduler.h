@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "engine/metrics.h"
@@ -67,14 +68,29 @@ struct ScheduledChunk
 /** The batch an iteration will execute. */
 struct BatchPlan
 {
+    /** The chunks in scheduling order; grown only through `push`. */
     std::vector<ScheduledChunk> chunks;
 
     /** @return true when nothing was schedulable. */
     bool empty() const { return chunks.empty(); }
 
+    /** Append `c` and add it to `work()`. */
+    void push(const ScheduledChunk& c)
+    {
+        chunks.push_back(c);
+        work_.add(c.new_tokens, c.past, c.is_prefill);
+    }
+
+    /** Remove `r`'s chunk, if any, and take it out of `work()`.
+     *  @return its new tokens (0 when `r` had none). */
+    std::int64_t retract(const Request* r);
+
     /** @return the per-phase sums the cost models price this batch from;
      *  its `total_new_tokens()` is the Alg. 2 "batch size". */
-    parallel::BatchWork work() const;
+    const parallel::BatchWork& work() const { return work_; }
+
+  private:
+    parallel::BatchWork work_;  ///< the sums of `chunks`, kept as pushed
 };
 
 /** FCFS continuous-batching scheduler bound to one engine's KV cache. */
@@ -92,6 +108,22 @@ class Scheduler
 
     /** Add a request to the waiting queue (FCFS by submission order). */
     void enqueue(Request* r);
+
+    /**
+     * Take a *steady* step if one is due: after the last full step every
+     * running request is decoding and none finished or waits, nothing
+     * has entered or left the queues since, `decode_tokens_per_step` (k)
+     * tokens each fit the budget, no request finishes this step, `now`
+     * is before the deadline floor and the step's block crossings fit the
+     * free blocks. The full path would then plan k decode tokens for
+     * every running request, so the step costs O(k) here: one pool
+     * charge, the outstanding total and the decode sums. Per-request
+     * progress is written back by the next other entry point.
+     *
+     * @return the step's work, or nullopt when the step must take the
+     * full `schedule` / `on_step_complete` path.
+     */
+    std::optional<parallel::BatchWork> steady_step(double now);
 
     /**
      * Assemble the next iteration's batch, acquiring KV blocks as needed.
@@ -156,7 +188,8 @@ class Scheduler
 
     /**
      * Apply the effects of a completed step: advance prefill progress,
-     * emit tokens, finish requests (releasing their KV).
+     * emit tokens, finish requests (releasing their KV), and arm a steady
+     * run when the next step qualifies (see `steady_step`).
      *
      * @param now Step end time.
      * @param plan The plan returned by `schedule`.
@@ -201,6 +234,41 @@ class Scheduler
     std::int64_t preemption_count() const { return preemptions_; }
 
   private:
+    friend struct SchedulerTestPeer;  // corrupts the steady run on purpose
+
+    /**
+     * Write the steady steps taken so far back into each running request
+     * (`decoded` and KV tokens; the pool was charged step by step) and end
+     * the run. O(1) when the run took no steady step. Every entry point
+     * that reads or changes a running request calls it first.
+     */
+    void materialize();
+
+    /**
+     * The steady run `steady_step` advances, armed by `on_step_complete`.
+     * Between materializations the running requests are `steps` steps
+     * behind: each owes k·steps more `decoded` and KV tokens.
+     */
+    struct SteadyRun
+    {
+        bool armed = false;
+        std::int64_t seqs = 0;   ///< D: running requests, all decoding
+        std::int64_t steps = 0;  ///< steady steps taken, not yet written
+        std::int64_t limit = 0;  ///< steps before the first request ends
+        parallel::BatchWork work;  ///< the next steady step's sums
+        /** Requests per KV-token residue mod block size at arming. */
+        std::vector<std::int64_t> residues;
+    };
+
+    /** @return blocks the next steady step's appends need. */
+    std::int64_t steady_blocks() const;
+
+    /**
+     * Debug oracle for a steady run: the decode sums, the outstanding
+     * total, the pool's used blocks and the deadline floor recounted
+     * from the running requests, taken as materialized.
+     */
+    bool steady_consistent() const;
     /**
      * Free KV by recompute-preempting the most recently admitted running
      * request other than `keep`, retracting the victim's chunk from `plan`
@@ -267,6 +335,7 @@ class Scheduler
     obs::TraceSink* trace_ = nullptr;
     obs::EngineId trace_id_ = 0;
     double sched_now_ = 0.0;  ///< time of the in-progress schedule() call
+    SteadyRun run_;
 };
 
 } // namespace shiftpar::engine

@@ -41,6 +41,18 @@ class BlockTable
         return true;
     }
 
+    /**
+     * Extend the sequence by `tokens` tokens whose blocks the caller
+     * already took from `allocator`: the block count catches up to the
+     * tokens without touching the pool.
+     */
+    void credit_tokens(std::int64_t tokens, const BlockAllocator& allocator)
+    {
+        SP_ASSERT(tokens >= 0);
+        num_tokens_ += tokens;
+        num_blocks_ = allocator.blocks_for_tokens(num_tokens_);
+    }
+
     /** Release all blocks back to `allocator` and reset to empty. */
     void release(BlockAllocator& allocator)
     {

@@ -80,6 +80,19 @@ class CacheManager
     void release(BlockTable& table);
 
     /**
+     * Take `blocks` from the pool for growth that no table holds yet, all
+     * or nothing and without evicting prefix entries; `credit` hands them
+     * to the tables later. @return false (no change) when fewer are free.
+     */
+    bool try_charge(std::int64_t blocks) { return allocator_.allocate(blocks); }
+
+    /** Grow `table` by `tokens` whose blocks `try_charge` already took. */
+    void credit(BlockTable& table, std::int64_t tokens)
+    {
+        table.credit_tokens(tokens, allocator_);
+    }
+
+    /**
      * `try_append` for a table this manager keeps under `id`, for
      * standalone callers that have no request object. Engines use the
      * table overload.
@@ -137,6 +150,15 @@ class CacheManager
 
     /** @return pool utilization in [0, 1]. */
     double utilization() const { return allocator_.utilization(); }
+
+    /** @return tokens per block. */
+    int block_size() const { return allocator_.block_size(); }
+
+    /** @return blocks needed to hold `tokens` tokens. */
+    std::int64_t blocks_for_tokens(std::int64_t tokens) const
+    {
+        return allocator_.blocks_for_tokens(tokens);
+    }
 
     /** @return blocks taken from the pool (requests and prefixes). */
     std::int64_t used_blocks() const { return allocator_.num_used(); }

@@ -67,6 +67,17 @@ struct BatchWork
         p.read2 += 2 * past + new_tokens;
     }
 
+    /** Undo an `add` of the same chunk (the sums are exact integers). */
+    void remove(std::int64_t new_tokens, std::int64_t past, bool is_prefill)
+    {
+        SP_ASSERT(new_tokens >= 1 && past >= 0);
+        PhaseWork& p = is_prefill ? prefills : decodes;
+        p.seqs -= 1;
+        p.tokens -= new_tokens;
+        p.pairs -= new_tokens * past + new_tokens * (new_tokens + 1) / 2;
+        p.read2 -= 2 * past + new_tokens;
+    }
+
     /** @return sum of new tokens (the Alg. 2 batch size). */
     std::int64_t total_new_tokens() const
     {
@@ -81,6 +92,8 @@ struct BatchWork
 
     /** Convenience: a decode batch of `batch` sequences at `context` each. */
     static BatchWork decode(std::int64_t batch, std::int64_t context);
+
+    bool operator==(const BatchWork&) const = default;
 };
 
 /** Step time decomposed into the Figure 15 cost components (seconds). */
