@@ -102,7 +102,6 @@ Engine::cancel(RequestId id)
     Request* r = &it->second;
     scheduler_.cancel(r);
     free_terminal({&r, 1});
-    ++cancelled_;
     if (cfg_.trace) {
         cfg_.trace->publish_request(
             {cfg_.trace_id, id, obs::RequestPhase::kCancel, now_, 0});
@@ -129,17 +128,8 @@ Engine::free_terminal(std::span<Request* const> done)
                                            scheduler_.num_running(),
                     "request conservation broken: the engine holds a "
                     "request the scheduler has neither waiting nor running");
-    SP_DEBUG_ASSERT(scheduler_.totals_consistent(),
-                    "scheduler totals drifted from its queues");
-}
-
-std::int64_t
-Engine::request_kv_blocks() const
-{
-    std::int64_t blocks = 0;
-    for (const auto& [id, r] : live_)
-        blocks += r.kv.num_blocks();
-    return blocks;
+    SP_DEBUG_ASSERT(scheduler_.consistent(),
+                    "scheduler drifted from its queues");
 }
 
 std::vector<std::pair<RequestSpec, RequestId>>
@@ -267,7 +257,6 @@ Engine::expire_now()
     const std::vector<Request*> expired = scheduler_.expire_due(now_);
     if (expired.empty())
         return false;
-    expired_ += static_cast<std::int64_t>(expired.size());
     for (const Request* r : expired) {
         if (on_expire_)
             on_expire_(r->id);
@@ -350,10 +339,9 @@ Engine::step()
             metrics_.on_request_finished(*r);
         }
         free_terminal(finished);
-        SP_DEBUG_ASSERT(cache_.accounting_consistent(request_kv_blocks()),
-                        "KV accounting drifted: request tables and prefix "
-                        "entries do not hold exactly the pool's used blocks");
     }
+    SP_DEBUG_ASSERT(scheduler_.consistent(),
+                    "scheduler drifted from its queues");
 
     if (cfg_.trace) {
         obs::GaugeEvent g;

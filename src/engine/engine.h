@@ -278,12 +278,6 @@ class Engine : public sim::Component
      */
     bool cancel(RequestId id);
 
-    /** @return requests cancelled so far. */
-    std::int64_t cancelled_count() const { return cancelled_; }
-
-    /** @return requests evicted past their deadline so far. */
-    std::int64_t expired_count() const { return expired_; }
-
     /**
      * @return true when `id` is live here, still queued, and has never
      * been scheduled — i.e. zero sunk work, the precondition a router
@@ -375,11 +369,8 @@ class Engine : public sim::Component
                      std::int64_t already_decoded);
 
     /** Free requests just made terminal; Debug-check conservation and
-     *  the scheduler's running totals. */
+     *  the scheduler's oracle. */
     void free_terminal(std::span<Request* const> done);
-
-    /** @return KV blocks held by live requests (O(live); Debug checks). */
-    std::int64_t request_kv_blocks() const;
 
     /** Free requests a drain or fail-stop removed; @return their
      *  (spec, id) pairs in order. */
@@ -402,14 +393,11 @@ class Engine : public sim::Component
     Metrics metrics_;
     /** Waiting and running requests by id, each held in its map node
      *  (whose address the scheduler keeps) and freed once terminal.
-     *  Queue order is the scheduler's; only the order-free Debug KV sum
-     *  iterates this map. */
+     *  Queue order is the scheduler's; nothing iterates this map. */
     std::unordered_map<RequestId, Request> live_;
     std::function<bool(const Request&)> on_finish_;
     std::function<void(RequestId)> on_expire_;
     double now_ = 0.0;
-    std::int64_t cancelled_ = 0;
-    std::int64_t expired_ = 0;
     bool failed_ = false;
     bool draining_ = false;  ///< graceful drain: admission closed
     double slowdown_ = 1.0;         ///< straggler factor (1 = healthy)

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <utility>
 
 #include "obs/metrics_registry.h"
 #include "sim/cluster.h"
@@ -114,13 +116,9 @@ void
 Router::admit(const RequestSpec& spec, RequestId id, double t)
 {
     if (should_shed()) {
-        ++fault_stats_.shed;
-        obs::MetricsRegistry::current().counter_add(
-            "shiftpar_fault_requests_total", 1, {{"outcome", "shed"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kShed, t,
                 spec.prompt_tokens);
-        flights_[static_cast<std::size_t>(id)].outcome = FlightOutcome::kShed;
-        count_outcome("shed");
+        settle(flights_[static_cast<std::size_t>(id)], FlightOutcome::kShed);
         return;
     }
     update_breakers(t);
@@ -229,7 +227,6 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
         // One hedge copy dropped but its sibling lives on: the sibling
         // carries the flight, no retry needed.
         ++overload_stats_.hedge_losses;
-        count_outcome("hedge_lost");
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kHedgeLost,
                 t);
         return;
@@ -238,17 +235,11 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
     id = logical_request_id(id);
     const int attempt = ++f.attempts;
     if (attempt > resilience_.max_retries) {
-        ++fault_stats_.lost;
-        obs::MetricsRegistry::current().counter_add(
-            "shiftpar_fault_requests_total", 1, {{"outcome", "lost"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kLost, t);
-        f.outcome = FlightOutcome::kLost;
-        count_outcome("lost");
+        settle(f, FlightOutcome::kLost);
         return;
     }
     ++fault_stats_.retries;
-    obs::MetricsRegistry::current().counter_add(
-        "shiftpar_fault_requests_total", 1, {{"outcome", "retried"}});
     const double delay =
         std::min(resilience_.backoff_base *
                      std::pow(2.0, static_cast<double>(attempt - 1)),
@@ -284,16 +275,8 @@ Router::on_engine_failure(std::size_t idx, double t)
     if (!breakers_.empty())
         breakers_[idx] = {};
     ++fault_stats_.failures;
-    obs::MetricsRegistry::current().counter_add(
-        "shiftpar_fault_transitions_total", 1, {{"kind", "failure"}});
     const auto dropped = victim.fail(t);
     fault_stats_.dropped += static_cast<std::int64_t>(dropped.size());
-    if (!dropped.empty()) {
-        obs::MetricsRegistry::current().counter_add(
-            "shiftpar_fault_requests_total",
-            static_cast<std::int64_t>(dropped.size()),
-            {{"outcome", "dropped"}});
-    }
     for (const auto& [spec, id] : dropped)
         schedule_retry(spec, id, t);
 }
@@ -302,8 +285,6 @@ void
 Router::on_engine_recovery(std::size_t idx, double t)
 {
     ++fault_stats_.recoveries;
-    obs::MetricsRegistry::current().counter_add(
-        "shiftpar_fault_transitions_total", 1, {{"kind", "recovery"}});
     engines_[idx]->recover(t);
 }
 
@@ -341,9 +322,6 @@ Router::arm_faults(sim::Cluster* cluster)
                 if (engines_[ev.engine]->failed())
                     return;
                 ++fault_stats_.straggles;
-                obs::MetricsRegistry::current().counter_add(
-                    "shiftpar_fault_transitions_total", 1,
-                    {{"kind", "straggle"}});
                 engines_[ev.engine]->set_slowdown(ev.factor, ev.at);
                 pending_restores_[ev.engine].push_back(
                     active_cluster_->post(ev.recover_at, [this, ev] {
@@ -358,9 +336,6 @@ Router::arm_faults(sim::Cluster* cluster)
                 if (engines_[idx]->failed() || engines_[idx]->draining())
                     return;
                 ++overload_stats_.drains;
-                obs::MetricsRegistry::current().counter_add(
-                    "shiftpar_fault_transitions_total", 1,
-                    {{"kind", "drain"}});
                 const auto handed = engines_[idx]->start_drain(ev.at);
                 overload_stats_.drained +=
                     static_cast<std::int64_t>(handed.size());
@@ -384,9 +359,6 @@ Router::arm_faults(sim::Cluster* cluster)
           case fault::FaultKind::kDegrade:
             cluster->post(ev.at, [this, ev] {
                 ++fault_stats_.degrades;
-                obs::MetricsRegistry::current().counter_add(
-                    "shiftpar_fault_transitions_total", 1,
-                    {{"kind", "degrade"}});
                 const std::size_t n = engines_.size();
                 for (std::size_t i = 0; i < n; ++i) {
                     if (ev.engine >= 0 &&
@@ -427,14 +399,6 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
     fault_stats_ = {};
     pending_restores_.assign(engines_.size(), {});
 
-    // Every replay tracks each request's flight to its terminal outcome.
-    // Only emission is gated: outcome counters and the completed tally
-    // appear when a lifecycle feature is in use, so a feature-off replay
-    // writes no outcome counter and reports no overload section.
-    report_outcomes_ =
-        overload_.any() || !cancels_.empty() ||
-        std::any_of(sorted.begin(), sorted.end(),
-                    [](const RequestSpec& s) { return s.deadline > 0.0; });
     overload_stats_ = {};
     flights_.assign(sorted.size(), {});
     breakers_.clear();
@@ -472,6 +436,15 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
     }
     if (migration_.enabled)
         cluster.set_progress_hook([this](double t) { rebalance(t); });
+    // Finished-request records across the engines' metrics, which
+    // accumulate over replays: the independent count of completions.
+    const auto records = [this] {
+        std::size_t n = 0;
+        for (const auto& e : engines_)
+            n += e->metrics().requests().size();
+        return n;
+    };
+    const std::size_t records_before = records();
     cluster.run();
     active_cluster_ = nullptr;
     for (auto& e : engines_) {
@@ -484,8 +457,69 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
         e->set_on_finish(nullptr);
         e->set_on_expire(nullptr);
     }
-    assert_conservation(sorted.size());
+
+    // The flight table is the one tally of terminal outcomes. Only
+    // emission is gated: the outcome counters and the completed tally
+    // appear when a lifecycle feature is in use, so a feature-off replay
+    // writes no outcome counter and reports no overload section.
+    const bool report_outcomes =
+        overload_.any() || !cancels_.empty() ||
+        std::any_of(sorted.begin(), sorted.end(),
+                    [](const RequestSpec& s) { return s.deadline > 0.0; });
+    const auto count = [this](FlightOutcome outcome) {
+        return std::ranges::count(flights_, outcome, &Flight::outcome);
+    };
+    const std::int64_t completed = count(FlightOutcome::kCompleted);
+    overload_stats_.expired = count(FlightOutcome::kExpired);
+    overload_stats_.cancelled = count(FlightOutcome::kCancelled);
+    fault_stats_.lost = count(FlightOutcome::kLost);
+    fault_stats_.shed = count(FlightOutcome::kShed);
+    if (report_outcomes)
+        overload_stats_.completed = completed;
+    assert_conservation(completed, records() - records_before);
+    export_counters(report_outcomes);
     return merged_metrics();
+}
+
+void
+Router::export_counters(bool report_outcomes) const
+{
+    using Fields =
+        std::initializer_list<std::pair<const char*, std::int64_t>>;
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
+    // A series exists only once it is non-zero, so a replay that never
+    // saw an event writes no key for it.
+    const auto write = [&reg](const char* name, const char* label,
+                              Fields fields) {
+        for (const auto& [value, n] : fields) {
+            if (n != 0)
+                reg.counter_add(name, n, {{label, value}});
+        }
+    };
+    const fault::FaultStats& fs = fault_stats_;
+    const OverloadStats& os = overload_stats_;
+    write("shiftpar_fault_requests_total", "outcome",
+          {{"shed", fs.shed},
+           {"lost", fs.lost},
+           {"retried", fs.retries},
+           {"dropped", fs.dropped}});
+    write("shiftpar_fault_transitions_total", "kind",
+          {{"failure", fs.failures},
+           {"recovery", fs.recoveries},
+           {"straggle", fs.straggles},
+           {"drain", os.drains},
+           {"degrade", fs.degrades}});
+    if (!report_outcomes)
+        return;
+    write("shiftpar_request_outcome_total", "outcome",
+          {{"completed", os.completed},
+           {"expired", os.expired},
+           {"cancelled", os.cancelled},
+           {"lost", fs.lost},
+           {"shed", fs.shed},
+           {"hedged", os.hedges},
+           {"hedge_won", os.hedge_wins},
+           {"hedge_lost", os.hedge_losses}});
 }
 
 void
@@ -507,12 +541,11 @@ Router::note_submit(std::size_t pick, RequestId id)
 }
 
 void
-Router::count_outcome(const char* outcome, std::int64_t n) const
+Router::settle(Flight& f, FlightOutcome outcome)
 {
-    if (!report_outcomes_)
-        return;
-    obs::MetricsRegistry::current().counter_add(
-        "shiftpar_request_outcome_total", n, {{"outcome", outcome}});
+    SP_ASSERT(f.outcome == FlightOutcome::kInFlight,
+              "a request flight settled twice");
+    f.outcome = outcome;
 }
 
 bool
@@ -530,19 +563,14 @@ Router::on_lifecycle_finish(std::size_t idx, const Request& r)
         // reported through the winner.
         if (f.outcome == FlightOutcome::kCompleted && f.hedged) {
             ++overload_stats_.hedge_losses;
-            count_outcome("hedge_lost");
             publish(engines_[idx]->trace_id(), r.id,
                     obs::RequestPhase::kHedgeLost, r.finished);
         }
         return false;
     }
-    f.outcome = FlightOutcome::kCompleted;
-    if (report_outcomes_)
-        ++overload_stats_.completed;
-    count_outcome("completed");
+    settle(f, FlightOutcome::kCompleted);
     if (f.hedged) {
         ++overload_stats_.hedge_wins;
-        count_outcome("hedge_won");
         publish(engines_[idx]->trace_id(), logical,
                 obs::RequestPhase::kHedgeWon, r.finished);
         const RequestId loser =
@@ -570,9 +598,7 @@ Router::settle_expired(RequestId id)
         return;
     if (f.primary_live || f.clone_live)
         return;  // the other hedge copy is still in flight
-    f.outcome = FlightOutcome::kExpired;
-    ++overload_stats_.expired;
-    count_outcome("expired");
+    settle(f, FlightOutcome::kExpired);
 }
 
 void
@@ -595,9 +621,7 @@ Router::do_cancel(RequestId id, double t)
     }
     retire_copy(id);
     retire_copy(id + kHedgeIdOffset);
-    f.outcome = FlightOutcome::kCancelled;
-    ++overload_stats_.cancelled;
-    count_outcome("cancelled");
+    settle(f, FlightOutcome::kCancelled);
 }
 
 void
@@ -638,7 +662,6 @@ Router::maybe_hedge(const RequestSpec& spec, RequestId id, double when)
     sync_clocks(when);
     f.hedged = true;
     ++overload_stats_.hedges;
-    count_outcome("hedged");
     publish(engines_[holder]->trace_id(), id, obs::RequestPhase::kHedged,
             when);
     const RequestId clone_id = id + kHedgeIdOffset;
@@ -666,7 +689,6 @@ Router::resolve_hedge_loser(RequestId logical, RequestId loser,
     cancel_copy(loser);
     retire_copy(loser);
     ++overload_stats_.hedge_losses;
-    count_outcome("hedge_lost");
 }
 
 double
@@ -780,26 +802,18 @@ Router::clear_breaker_probe(RequestId id)
 }
 
 void
-Router::assert_conservation(std::size_t submitted) const
+Router::assert_conservation(std::int64_t completed,
+                            std::size_t records) const
 {
-    std::int64_t settled = 0;
-    std::int64_t completed = 0;
-    for (const Flight& f : flights_) {
-        settled += f.outcome != FlightOutcome::kInFlight ? 1 : 0;
-        completed += f.outcome == FlightOutcome::kCompleted ? 1 : 0;
-    }
-    SP_ASSERT(settled == static_cast<std::int64_t>(submitted),
-              "unsettled request flights after replay");
-    SP_ASSERT(!report_outcomes_ || overload_stats_.completed == completed,
-              "completed tally drifted from the flight table");
-    // Completions come from the flight table, so the identity holds on
-    // feature-off replays too, where the completed tally is not kept.
-    const std::int64_t accounted =
-        completed + overload_stats_.expired + overload_stats_.cancelled +
-        fault_stats_.lost + fault_stats_.shed;
-    SP_ASSERT(accounted == static_cast<std::int64_t>(submitted),
-              "request conservation violated: submitted != completed + "
-              "lost + shed + expired + cancelled");
+    SP_ASSERT(std::ranges::count(flights_, FlightOutcome::kInFlight,
+                                 &Flight::outcome) == 0,
+              "request conservation violated: a request flight never "
+              "settled");
+    // The engines' metrics are an independent record of completions:
+    // each completed flight is exactly one finished-request record.
+    SP_ASSERT(completed == static_cast<std::int64_t>(records),
+              "completed flights disagree with the requests the engines "
+              "recorded");
 }
 
 Metrics

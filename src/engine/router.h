@@ -113,7 +113,9 @@ class Router
      * engine steps, and (when enabled) migrations interleave as events on
      * one clock. Request ids are assigned by position in the
      * arrival-sorted workload. fatal()s when a replica deadlocks; asserts
-     * submitted = completed + expired + cancelled + lost + shed.
+     * that every request settled exactly once (so submitted = completed +
+     * expired + cancelled + lost + shed) and that the completions match
+     * the requests the engines' metrics recorded.
      *
      * @return merged metrics across replicas (every replay so far).
      */
@@ -168,10 +170,10 @@ class Router
 
     /**
      * @return lifecycle-outcome counters from the last `run_workload`.
-     * `completed` is tallied only when a lifecycle feature was active
-     * (any deadline, a cancel stream, hedging or breakers), so a
-     * feature-off replay reports no overload section; conservation is
-     * asserted on every replay from the flight table either way.
+     * The terminal fields are counted from the flight table at the end
+     * of the replay; `completed` is reported only when a lifecycle
+     * feature was active (any deadline, a cancel stream, hedging or
+     * breakers), so a feature-off replay reports no overload section.
      */
     const OverloadStats& overload_stats() const { return overload_stats_; }
 
@@ -328,9 +330,9 @@ class Router
      *  @return its logical request's flight. */
     Flight& retire_copy(RequestId id);
 
-    /** Bump `shiftpar_request_outcome_total{outcome=...}`; a no-op on
-     *  feature-off replays, which never touch the registry. */
-    void count_outcome(const char* outcome, std::int64_t n = 1) const;
+    /** The one way a flight becomes terminal: asserts it was still in
+     *  flight, so each request settles exactly once. */
+    void settle(Flight& f, FlightOutcome outcome);
 
     /** Feed one completion into replica `idx`'s breaker; trip/close. */
     void record_breaker_sample(std::size_t idx, const Request& r);
@@ -351,8 +353,20 @@ class Router
     /** Forget a settled request that was a half-open probe. */
     void clear_breaker_probe(RequestId id);
 
-    /** Assert submitted = completed + lost + shed + expired + cancelled. */
-    void assert_conservation(std::size_t submitted) const;
+    /**
+     * Write the replay's non-zero fault and transition counts to the
+     * metrics registry, plus the request-outcome counts when
+     * `report_outcomes` (a lifecycle feature was in use): the registry's
+     * only writer in the router, run once at the end of `run_workload`.
+     */
+    void export_counters(bool report_outcomes) const;
+
+    /**
+     * Assert that every flight settled and that the `completed` flights
+     * match the `records` the engines' metrics gained this replay.
+     */
+    void assert_conservation(std::int64_t completed,
+                             std::size_t records) const;
 
     std::vector<std::unique_ptr<Engine>> engines_;
     RoutingPolicy policy_;
@@ -372,10 +386,6 @@ class Router
     OverloadOptions overload_;
     std::vector<CancelEvent> cancels_;
     OverloadStats overload_stats_;
-    /** True when the current replay uses a lifecycle feature (any
-     *  deadline, a cancel stream, hedging, or breakers): only then are
-     *  outcome counters and `overload_stats_.completed` emitted. */
-    bool report_outcomes_ = false;
     std::vector<Flight> flights_;    ///< indexed by logical request id
     std::vector<Breaker> breakers_;  ///< one per replica when enabled
 };

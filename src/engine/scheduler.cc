@@ -584,7 +584,7 @@ Scheduler::steady_step(double now)
     outstanding_ -= tokens;
     run_.work.decodes.pairs += k * tokens;
     run_.work.decodes.read2 += 2 * tokens;
-    SP_DEBUG_ASSERT(steady_consistent(),
+    SP_DEBUG_ASSERT(consistent(),
                     "steady run drifted from its running requests");
     return work;
 }
@@ -619,28 +619,6 @@ Scheduler::materialize()
     run_.steps = 0;
 }
 
-bool
-Scheduler::steady_consistent() const
-{
-    const std::int64_t k = opts_.decode_tokens_per_step;
-    const std::int64_t ahead = k * run_.steps;
-    parallel::BatchWork next;  // the next steady step's sums
-    std::int64_t owed = 0;
-    std::int64_t blocks = 0;
-    bool ok = waiting_.empty() && std::ssize(running_) == run_.seqs;
-    for (const Request* r : running_) {
-        const std::int64_t tokens = r->kv.num_tokens() + ahead;
-        next.add(k, r->prefix_filled + tokens, /*is_prefill=*/false);
-        owed += owed_tokens(r) - ahead;
-        blocks += cache_->blocks_for_tokens(tokens);
-        ok = ok && r->state == RequestState::kDecode &&
-             (r->spec.deadline <= 0.0 ||
-              r->spec.deadline >= deadline_floor_);
-    }
-    return ok && next == run_.work && owed == outstanding_ &&
-           cache_->accounting_consistent(blocks);
-}
-
 double
 Scheduler::earliest_waiting_arrival() const
 {
@@ -651,18 +629,34 @@ Scheduler::earliest_waiting_arrival() const
 }
 
 bool
-Scheduler::totals_consistent() const
+Scheduler::consistent() const
 {
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    parallel::BatchWork next;  // the next steady step's sums
     std::int64_t owed = 0;
-    bool floor_ok = true;
-    const auto visit = [&](const Request* r) {
-        owed += owed_tokens(r);
-        floor_ok = floor_ok && (r->spec.deadline <= 0.0 ||
-                                r->spec.deadline >= deadline_floor_);
+    std::int64_t blocks = 0;
+    bool ok = true;
+    const auto visit = [&](const Request* r, std::int64_t lag) {
+        const std::int64_t tokens = r->kv.num_tokens() + lag;
+        owed += owed_tokens(r) - lag;
+        blocks += cache_->blocks_for_tokens(tokens);
+        ok = ok && (r->spec.deadline <= 0.0 ||
+                    r->spec.deadline >= deadline_floor_);
+        if (run_.armed) {
+            next.add(k, r->prefix_filled + tokens, /*is_prefill=*/false);
+            ok = ok && r->state == RequestState::kDecode;
+        }
     };
-    std::for_each(waiting_.begin(), waiting_.end(), visit);
-    std::for_each(running_.begin(), running_.end(), visit);
-    return owed == outstanding_ && floor_ok;
+    for (const Request* r : waiting_)
+        visit(r, 0);
+    for (const Request* r : running_)
+        visit(r, k * run_.steps);
+    if (run_.armed) {
+        ok = ok && waiting_.empty() && std::ssize(running_) == run_.seqs &&
+             next == run_.work;
+    }
+    return ok && owed == outstanding_ &&
+           cache_->accounting_consistent(blocks);
 }
 
 } // namespace shiftpar::engine

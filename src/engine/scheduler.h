@@ -217,12 +217,15 @@ class Scheduler
     std::int64_t outstanding_tokens() const { return outstanding_; }
 
     /**
-     * Debug oracle for the running totals: `outstanding_tokens()` equals
-     * the O(n) sum over the queues, and no live deadline is below the
-     * deadline floor. `Engine` asserts it after every step and terminal
-     * path in Debug builds.
+     * Debug oracle, O(n): recounts the waiting and running requests, the
+     * running ones taken `k·steps` tokens ahead while a steady run is
+     * open, and checks the outstanding total, the deadline floor and the
+     * pool's used KV blocks. While a run is armed it also checks that
+     * every request is decoding, that the run counts them all and that
+     * its next-step sums match the recount. `Engine` asserts it after
+     * every step and terminal path in Debug builds.
      */
-    bool totals_consistent() const;
+    bool consistent() const;
 
     /**
      * @return the earliest arrival time among waiting requests, or +inf
@@ -263,12 +266,6 @@ class Scheduler
     /** @return blocks the next steady step's appends need. */
     std::int64_t steady_blocks() const;
 
-    /**
-     * Debug oracle for a steady run: the decode sums, the outstanding
-     * total, the pool's used blocks and the deadline floor recounted
-     * from the running requests, taken as materialized.
-     */
-    bool steady_consistent() const;
     /**
      * Free KV by recompute-preempting the most recently admitted running
      * request other than `keep`, retracting the victim's chunk from `plan`

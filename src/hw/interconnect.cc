@@ -99,17 +99,7 @@ double
 LinkChannel::occupancy(double bytes) const
 {
     SP_ASSERT(bytes >= 0.0);
-    if (rate_multiplier_ != 1.0)
-        return bytes * rate_multiplier_ / link_.effective_bw() +
-               link_.latency;
     return bytes / link_.effective_bw() + link_.latency;
-}
-
-void
-LinkChannel::set_rate_multiplier(double factor)
-{
-    SP_ASSERT(factor >= 1.0, "link degradation cannot speed the link up");
-    rate_multiplier_ = factor;
 }
 
 double

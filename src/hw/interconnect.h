@@ -148,20 +148,6 @@ class LinkChannel
     /** @return seconds a `bytes`-sized transfer occupies the link. */
     double occupancy(double bytes) const;
 
-    /**
-     * Degrade (factor > 1) or restore (factor = 1) the link: subsequent
-     * `occupancy` computations scale their bandwidth term by `factor`
-     * (latency is unaffected — degradation models congestion/lane loss,
-     * not added hops). Already-reserved windows keep their timing unless
-     * a later `cancel` recomputes them, which uses the factor then in
-     * force. At exactly 1.0 the arithmetic is untouched, so unfaulted
-     * replays stay bit-identical.
-     */
-    void set_rate_multiplier(double factor);
-
-    /** @return the degradation factor in force (1 = healthy). */
-    double rate_multiplier() const { return rate_multiplier_; }
-
     /** @return the link specification in use. */
     const LinkSpec& link() const { return link_; }
 
@@ -178,7 +164,6 @@ class LinkChannel
 
     LinkSpec link_;
     std::vector<Entry> entries_;  ///< FIFO reservation order
-    double rate_multiplier_ = 1.0;
 };
 
 } // namespace shiftpar::hw

@@ -214,9 +214,15 @@ TEST(Engine, TerminalRequestsAreFreed)
 
     RequestSpec doomed{e->now(), 512, 512};
     doomed.deadline = e->now() + 1e-6;  // long before 512 output tokens
+    int expirations = 0;
+    e->set_on_expire([&](RequestId id) {
+        EXPECT_EQ(id, 2);
+        ++expirations;
+    });
     e->submit(doomed, 2);
     replay({e.get()});
-    EXPECT_EQ(e->expired_count(), 1);
+    e->set_on_expire(nullptr);
+    EXPECT_EQ(expirations, 1);
     EXPECT_EQ(e->live_requests(), 0u);  // expire
 
     e->submit({e->now(), 5000, 50}, 3);

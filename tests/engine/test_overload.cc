@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/test_helpers.h"
@@ -203,9 +205,12 @@ TEST(CancelStream, AbortOfAnExpiredDeadCopyIsRejectedNotFatal)
     Engine& e = *engines[0];
     RequestSpec doomed{0.0, 512, 512};
     doomed.deadline = 1e-6;  // expires long before 512 output tokens
+    int expirations = 0;
+    e.set_on_expire([&](RequestId) { ++expirations; });
     e.submit(doomed, 0);
     replay({&e});
-    EXPECT_EQ(e.expired_count(), 1);
+    e.set_on_expire(nullptr);
+    EXPECT_EQ(expirations, 1);
     EXPECT_EQ(e.metrics().requests().size(), 0u);
     EXPECT_FALSE(e.cancel(0));
 }
@@ -471,6 +476,115 @@ TEST(Lifecycle, OutcomeCountersReachTheRegistryOnlyWhenActive)
     }
     EXPECT_EQ(total, 20);  // completed + cancelled, one bump per request
     EXPECT_EQ(cancelled, 2);
+
+    obs::MetricsRegistry::set_thread_override(prev);
+}
+
+TEST(Lifecycle, EveryCounterMatchesItsRegistrySeriesInOneReplay)
+{
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry* prev =
+        obs::MetricsRegistry::set_thread_override(&reg);
+
+    // Queues on four throttled replicas, one straggler, a degraded
+    // interconnect, a drain that resumes, a partial outage (retries and
+    // shedding below the watermark) and a full one (retries exhausted),
+    // plus hedges, breakers, cancels and tight deadlines.
+    constexpr int kRequests = 400;
+    auto reqs = steady_arrivals(kRequests, 0.005);
+    for (std::size_t i = 0; i < reqs.size(); i += 7)
+        reqs[i].deadline = reqs[i].arrival + 0.1;
+    Router router(replicas(4, /*max_running=*/4),
+                  RoutingPolicy::kRoundRobin);
+    ResilienceOptions res;
+    res.max_retries = 1;
+    res.shed_watermark = 0.8;
+    router.set_faults(
+        parse_fault_spec("straggle:engine=0,at=0,until=0.3,slow=4;"
+                         "degrade:at=0.1,until=0.3,factor=2;"
+                         "drain:engine=1,at=0.2,resume=0.4;"
+                         "fail:engine=2,at=0.5,recover=0.8;"
+                         "fail:engine=0,at=1.5,recover=1.9;"
+                         "fail:engine=1,at=1.5,recover=1.9;"
+                         "fail:engine=2,at=1.5,recover=1.9;"
+                         "fail:engine=3,at=1.5,recover=1.9"),
+        res);
+    OverloadOptions opts;
+    opts.hedge_delay = 0.05;
+    opts.breaker.enabled = true;
+    opts.breaker.min_samples = 3;
+    opts.breaker.open_duration = 0.05;
+    router.set_overload(opts);
+    router.set_cancellations({{5, 0.04}, {50, 0.26}, {310, 1.56}});
+    router.run_workload(reqs);
+
+    const OverloadStats& os = router.overload_stats();
+    const fault::FaultStats& fs = router.fault_stats();
+    // Every counter fired, so every series below exists.
+    const std::map<std::string, std::int64_t> fired = {
+        {"completed", os.completed},
+        {"expired", os.expired},
+        {"cancelled", os.cancelled},
+        {"hedges", os.hedges},
+        {"hedge_wins", os.hedge_wins},
+        {"hedge_losses", os.hedge_losses},
+        {"breaker_opens", os.breaker_opens},
+        {"breaker_probes", os.breaker_probes},
+        {"breaker_closes", os.breaker_closes},
+        {"drains", os.drains},
+        {"drained", os.drained},
+        {"drain_resumes", os.drain_resumes},
+        {"failures", fs.failures},
+        {"recoveries", fs.recoveries},
+        {"straggles", fs.straggles},
+        {"degrades", fs.degrades},
+        {"dropped", fs.dropped},
+        {"retries", fs.retries},
+        {"lost", fs.lost},
+        {"shed", fs.shed},
+    };
+    for (const auto& [field, n] : fired)
+        EXPECT_GT(n, 0) << field;
+    EXPECT_EQ(settled(router), kRequests);
+
+    using Key = std::pair<std::string, std::string>;  // name, label value
+    const std::map<Key, std::int64_t> expected = {
+        {{"shiftpar_fault_requests_total", "shed"}, fs.shed},
+        {{"shiftpar_fault_requests_total", "lost"}, fs.lost},
+        {{"shiftpar_fault_requests_total", "retried"}, fs.retries},
+        {{"shiftpar_fault_requests_total", "dropped"}, fs.dropped},
+        {{"shiftpar_fault_transitions_total", "failure"}, fs.failures},
+        {{"shiftpar_fault_transitions_total", "recovery"}, fs.recoveries},
+        {{"shiftpar_fault_transitions_total", "straggle"}, fs.straggles},
+        {{"shiftpar_fault_transitions_total", "drain"}, os.drains},
+        {{"shiftpar_fault_transitions_total", "degrade"}, fs.degrades},
+        {{"shiftpar_request_outcome_total", "completed"}, os.completed},
+        {{"shiftpar_request_outcome_total", "expired"}, os.expired},
+        {{"shiftpar_request_outcome_total", "cancelled"}, os.cancelled},
+        {{"shiftpar_request_outcome_total", "lost"}, fs.lost},
+        {{"shiftpar_request_outcome_total", "shed"}, fs.shed},
+        {{"shiftpar_request_outcome_total", "hedged"}, os.hedges},
+        {{"shiftpar_request_outcome_total", "hedge_won"}, os.hedge_wins},
+        {{"shiftpar_request_outcome_total", "hedge_lost"}, os.hedge_losses},
+    };
+    static const std::set<std::string> kTerminal = {
+        "completed", "expired", "cancelled", "lost", "shed"};
+    std::map<Key, std::int64_t> seen;
+    std::int64_t terminal = 0;
+    for (const auto& c : reg.snapshot().counters) {
+        if (c.labels.size() != 1u) {
+            ADD_FAILURE() << c.name << " has " << c.labels.size()
+                          << " labels";
+            continue;
+        }
+        const Key key{c.name, c.labels[0].second};
+        seen[key] = c.value;
+        if (c.name == "shiftpar_request_outcome_total" &&
+            kTerminal.count(key.second))
+            terminal += c.value;
+    }
+    EXPECT_EQ(seen, expected);
+    EXPECT_EQ(terminal, kRequests);
 
     obs::MetricsRegistry::set_thread_override(prev);
 }

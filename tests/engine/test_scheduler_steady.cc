@@ -240,8 +240,8 @@ TEST_P(SteadyDifferential, MatchesTheFullPathStepForStep)
                         << "request " << i;
                     ASSERT_EQ(x.finished, y.finished) << "request " << i;
                 }
-                ASSERT_TRUE(full.sched.totals_consistent());
-                ASSERT_TRUE(fast.sched.totals_consistent());
+                ASSERT_TRUE(full.sched.consistent());
+                ASSERT_TRUE(fast.sched.consistent());
             }
         }
         EXPECT_FALSE(full.sched.has_work()) << "seed " << seed;
@@ -320,7 +320,9 @@ TEST(SteadyRunDeathTest, OracleCatchesACorruptedRun)
         ASSERT_TRUE(finished.empty());
     }
     ASSERT_TRUE(s.steady_step(0.2).has_value());
+    ASSERT_TRUE(s.consistent());
     SchedulerTestPeer::work(s).decodes.pairs += 1;
+    EXPECT_FALSE(s.consistent());
     EXPECT_DEATH(s.steady_step(0.3), "steady run drifted");
 }
 

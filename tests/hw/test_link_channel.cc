@@ -116,27 +116,5 @@ TEST(LinkChannel, WindowOfUnknownIdIsNaN)
     EXPECT_TRUE(std::isnan(ch.window(42).end));
 }
 
-TEST(LinkChannel, RateMultiplierStretchesTheBandwidthTermOnly)
-{
-    LinkChannel ch(test_link());
-    ch.set_rate_multiplier(2.0);
-    // 80 bytes: the 1 s bandwidth term doubles; the 0.5 s latency does not.
-    EXPECT_DOUBLE_EQ(ch.occupancy(80.0), 2.5);
-    const auto w = ch.reserve(0, 0.0, 80.0);
-    EXPECT_DOUBLE_EQ(w.end, 2.5);
-    // Restoring the link affects only future reservations.
-    ch.set_rate_multiplier(1.0);
-    EXPECT_DOUBLE_EQ(ch.occupancy(80.0), 1.5);
-    const auto w1 = ch.reserve(1, 0.0, 80.0);
-    EXPECT_DOUBLE_EQ(w1.start, 2.5);
-    EXPECT_DOUBLE_EQ(w1.end, 4.0);
-}
-
-TEST(LinkChannel, RateMultiplierBelowOneIsFatal)
-{
-    LinkChannel ch(test_link());
-    EXPECT_DEATH(ch.set_rate_multiplier(0.5), "cannot speed the link up");
-}
-
 } // namespace
 } // namespace shiftpar::hw

@@ -853,75 +853,47 @@ class Sink
 
 // ------------------------------------------------ outcome-conservation
 
-TEST(ShiftlintOutcome, AssignmentCounterAndStatsTogetherIsClean)
+TEST(ShiftlintOutcome, AssignmentInsideSettleIsClean)
 {
     auto corpus = make_corpus({{"src/engine/r.cc", R"(
-void Router::expire(Flight& f)
+void Router::settle(Flight& f)
 {
-    f.outcome = FlightOutcome::kExpired;
-    count_outcome("expired");
-    ++overload_stats_.expired;
+    f.outcome = FlightOutcome::kCompleted;
 }
+)"},
+                               {"src/engine/r.h", R"(
+class Router
+{
+    void settle(Flight& f) { f.outcome = FlightOutcome::kExpired; }
+};
 )"}});
     EXPECT_TRUE(run_one(corpus, "outcome-conservation").empty());
 }
 
-TEST(ShiftlintOutcome, CounterReachedThroughCalleeIsClean)
+TEST(ShiftlintOutcome, AssignmentOutsideSettleFlagged)
 {
     auto corpus = make_corpus({{"src/engine/r.cc", R"(
 void Router::expire(Flight& f)
 {
     f.outcome = FlightOutcome::kExpired;
-    record_expiry();
-}
-void Router::record_expiry()
-{
-    count_outcome("expired");
-    ++overload_stats_.expired;
-}
-)"}});
-    EXPECT_TRUE(run_one(corpus, "outcome-conservation").empty());
-}
-
-TEST(ShiftlintOutcome, AssignmentWithoutCounterFlagged)
-{
-    auto corpus = make_corpus({{"src/engine/r.cc", R"(
-void Router::expire(Flight& f)
-{
-    f.outcome = FlightOutcome::kExpired;
-    ++overload_stats_.expired;
 }
 )"}});
     const auto findings = run_one(corpus, "outcome-conservation");
     ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("count_outcome"),
+    EXPECT_EQ(findings[0].line, 4);
+    EXPECT_NE(findings[0].message.find("Router::expire"),
               std::string::npos);
+    EXPECT_NE(findings[0].message.find("kExpired"), std::string::npos);
 }
 
-TEST(ShiftlintOutcome, AssignmentWithoutStatsUpdateFlagged)
+TEST(ShiftlintOutcome, SettleOfAnotherClassFlagged)
 {
+    // Only the router's settlement path counts: a same-named helper on
+    // another class is just another writer.
     auto corpus = make_corpus({{"src/engine/r.cc", R"(
-void Router::shed(Flight& f)
+void Ledger::settle(Flight& f)
 {
-    f.outcome = FlightOutcome::kShed;
-    count_outcome("shed");
-}
-)"}});
-    const auto findings = run_one(corpus, "outcome-conservation");
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("'shed' stats"),
-              std::string::npos);
-}
-
-TEST(ShiftlintOutcome, CounterWithoutTransitionFlagged)
-{
-    // Reverse direction: the counter books a terminal outcome no
-    // flight-table transition backs up.
-    auto corpus = make_corpus({{"src/engine/r.cc", R"(
-void Router::on_loss(Flight& f)
-{
-    count_outcome("lost");
-    ++fault_stats_.lost;
+    f.outcome = FlightOutcome::kLost;
 }
 )"}});
     const auto findings = run_one(corpus, "outcome-conservation");
@@ -929,12 +901,19 @@ void Router::on_loss(Flight& f)
     EXPECT_NE(findings[0].message.find("kLost"), std::string::npos);
 }
 
-TEST(ShiftlintOutcome, NonTerminalCounterStringsIgnored)
+TEST(ShiftlintOutcome, ReadsAndNonTerminalAssignmentsIgnored)
 {
+    // Comparisons read the table; resetting a flight to kInFlight is not
+    // a settlement.
     auto corpus = make_corpus({{"src/engine/r.cc", R"(
-void Router::on_hedge(Flight& f)
+bool Router::done(const Flight& f)
 {
-    count_outcome("hedge_lost");
+    return f.outcome == FlightOutcome::kCompleted ||
+           f.outcome != FlightOutcome::kInFlight;
+}
+void Router::reset(Flight& f)
+{
+    f.outcome = FlightOutcome::kInFlight;
 }
 )"}});
     EXPECT_TRUE(run_one(corpus, "outcome-conservation").empty());
@@ -945,7 +924,7 @@ TEST(ShiftlintOutcome, SuppressedWithReason)
     auto corpus = make_corpus({{"src/engine/r.cc", R"(
 void Router::expire(Flight& f)
 {
-    // shiftlint-allow(outcome-conservation): counted by the caller
+    // shiftlint-allow(outcome-conservation): fixture for the check
     f.outcome = FlightOutcome::kExpired;
 }
 )"}});
@@ -953,7 +932,7 @@ void Router::expire(Flight& f)
     opts.checks = {"outcome-conservation"};
     const auto result = run_checks(corpus, opts);
     EXPECT_TRUE(result.findings.empty());
-    EXPECT_EQ(result.suppressed.size(), 2u);  // counter + stats findings
+    EXPECT_EQ(result.suppressed.size(), 1u);
 }
 
 // ------------------------------------------------------ rng-discipline

@@ -9,8 +9,6 @@
 #include "check.h"
 
 #include <algorithm>
-#include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <unordered_set>
@@ -202,7 +200,7 @@ class UnorderedEmitCheck final : public Check
             "add_run",         "add_row",        "CsvWriter",
             "JsonWriter",      "counter_add",    "gauge_set",
             "gauge_max",       "observe",        "write_prometheus",
-            "publish_request", "set_metrics",    "count_outcome",
+            "publish_request", "set_metrics",
         };
 
         for (const auto& fn : corpus.functions) {
@@ -954,14 +952,12 @@ class GuardedByCheck final : public Check
  * Check 8: outcome conservation.
  *
  * The router's accounting identity (submitted = completed + expired +
- * cancelled + lost + shed) only holds if every terminal flight-outcome
- * transition also increments the `shiftpar_request_outcome_total`
- * counter (via `count_outcome`) and the matching stats field. The chaos
- * soak finds violations dynamically; this check finds them at lint time,
- * in both directions: a terminal `FlightOutcome` assignment must reach
- * the counter and the stats update through the call graph, and a
- * terminal `count_outcome` call must have a matching flight-table
- * transition in reach.
+ * cancelled + lost + shed) holds by construction when every request
+ * settles exactly once: the flight table is the one tally of terminal
+ * outcomes, and `Router::settle` asserts that the flight it settles was
+ * still in flight. That assert sees every transition only if no other
+ * code writes a terminal outcome, so a terminal `FlightOutcome`
+ * assignment anywhere but `Router::settle` is flagged.
  */
 class OutcomeConservationCheck final : public Check
 {
@@ -975,169 +971,34 @@ class OutcomeConservationCheck final : public Check
     const char*
     description() const override
     {
-        return "terminal flight-outcome transitions, the outcome "
-               "counter, and the stats update must travel together";
+        return "terminal flight outcomes are assigned only inside "
+               "Router::settle";
     }
 
     void
     run(const LintContext& ctx, std::vector<Finding>& out) const override
     {
-        const Corpus& corpus = ctx.corpus;
-        constexpr int kDepth = 3;
-
-        struct Terminal
-        {
-            const char* enumerator;
-            const char* label;  ///< count_outcome string & stats field
+        static const std::unordered_set<std::string> kTerminals = {
+            "kCompleted", "kExpired", "kCancelled", "kLost", "kShed",
         };
-        static const Terminal kTerminals[] = {
-            {"kCompleted", "completed"}, {"kExpired", "expired"},
-            {"kCancelled", "cancelled"}, {"kLost", "lost"},
-            {"kShed", "shed"},
-        };
-
-        const auto counts_outcome = [&](std::size_t fi) {
-            const FunctionDef& fn = corpus.functions[fi];
-            const auto& toks = fn.file->tokens;
-            for (std::size_t i = fn.body_begin + 1; i + 1 < fn.body_end;
-                 ++i)
-                if (toks[i].kind == TokKind::kIdent &&
-                    toks[i].text == "count_outcome" &&
-                    toks[i + 1].text == "(")
-                    return true;
-            return false;
-        };
-        const auto updates_stats = [&](std::size_t fi,
-                                       const std::string& field) {
-            const FunctionDef& fn = corpus.functions[fi];
-            const auto& toks = fn.file->tokens;
-            for (std::size_t i = fn.body_begin + 1; i + 2 < fn.body_end;
-                 ++i)
-                if (toks[i].kind == TokKind::kIdent &&
-                    (toks[i].text == "overload_stats_" ||
-                     toks[i].text == "fault_stats_") &&
-                    toks[i + 1].text == "." &&
-                    toks[i + 2].text == field)
-                    return true;
-            return false;
-        };
-        const auto assigns = [&](std::size_t fi,
-                                 const std::string& enumerator) {
-            const FunctionDef& fn = corpus.functions[fi];
-            const auto& toks = fn.file->tokens;
-            for (std::size_t i = fn.body_begin + 1; i + 2 < fn.body_end;
-                 ++i)
-                if (toks[i].text == "FlightOutcome" && i > 0 &&
-                    toks[i - 1].text == "=" &&
-                    toks[i + 1].text == "::" &&
-                    toks[i + 2].text == enumerator)
-                    return true;
-            return false;
-        };
-
-        for (std::size_t fi = 0; fi < corpus.functions.size(); ++fi) {
-            const FunctionDef& fn = corpus.functions[fi];
+        for (const FunctionDef& fn : ctx.corpus.functions) {
+            if (fn.owner == "Router" && fn.name == "settle")
+                continue;
             const auto& toks = fn.file->tokens;
             for (std::size_t i = fn.body_begin + 1; i + 2 < fn.body_end;
                  ++i) {
-                // Forward direction: `... = FlightOutcome::kTerminal`.
                 if (toks[i].text == "FlightOutcome" &&
-                    toks[i - 1].text == "=" &&
-                    toks[i + 1].text == "::") {
-                    for (const Terminal& term : kTerminals) {
-                        if (toks[i + 2].text != term.enumerator)
-                            continue;
-                        if (!ctx.callgraph.reaches(fi, counts_outcome,
-                                                   kDepth)) {
-                            out.push_back(make_finding(
-                                name(), *fn.file, toks[i],
-                                "'" + fn.qualified +
-                                    "' assigns FlightOutcome::" +
-                                    term.enumerator +
-                                    " but never reaches count_outcome("
-                                    ") — the conservation identity "
-                                    "loses this request"));
-                        }
-                        const std::string field = term.label;
-                        if (!ctx.callgraph.reaches(
-                                fi,
-                                [&](std::size_t g) {
-                                    return updates_stats(g, field);
-                                },
-                                kDepth)) {
-                            out.push_back(make_finding(
-                                name(), *fn.file, toks[i],
-                                "'" + fn.qualified +
-                                    "' assigns FlightOutcome::" +
-                                    term.enumerator +
-                                    " but never reaches the '" + field +
-                                    "' stats update — reports drift "
-                                    "from the flight table"));
-                        }
-                    }
-                }
-                // Reverse direction: count_outcome("<terminal>") with no
-                // matching flight-table transition in reach.
-                if (toks[i].kind == TokKind::kIdent &&
-                    toks[i].text == "count_outcome" &&
-                    toks[i + 1].text == "(" &&
-                    toks[i + 2].kind == TokKind::kString) {
-                    for (const Terminal& term : kTerminals) {
-                        const std::string quoted =
-                            std::string("\"") + term.label + "\"";
-                        if (toks[i + 2].text != quoted)
-                            continue;
-                        const std::string enumerator = term.enumerator;
-                        const auto assigns_term = [&](std::size_t g) {
-                            return assigns(g, enumerator);
-                        };
-                        // The transition may sit below (a callee does
-                        // the bookkeeping) or above (this IS the
-                        // bookkeeping helper, called from the
-                        // transition site) — accept either.
-                        if (!ctx.callgraph.reaches(fi, assigns_term,
-                                                   kDepth) &&
-                            !reached_from_assigner(ctx, fi,
-                                                   assigns_term,
-                                                   kDepth)) {
-                            out.push_back(make_finding(
-                                name(), *fn.file, toks[i],
-                                "'" + fn.qualified + "' counts outcome "
-                                "'" + term.label +
-                                    "' without a matching FlightOutcome"
-                                    "::" + enumerator +
-                                    " flight-table transition in reach "
-                                    "— the counter can double-book"));
-                        }
-                    }
+                    toks[i - 1].text == "=" && toks[i + 1].text == "::" &&
+                    kTerminals.count(toks[i + 2].text)) {
+                    out.push_back(make_finding(
+                        name(), *fn.file, toks[i],
+                        "'" + fn.qualified + "' assigns FlightOutcome::" +
+                            toks[i + 2].text +
+                            " outside Router::settle — the exactly-once "
+                            "settlement assert cannot see it"));
                 }
             }
         }
-    }
-
-  private:
-    /** BFS up the caller edges: does any transitive caller within
-     *  `depth` hops satisfy `pred`? */
-    static bool
-    reached_from_assigner(const LintContext& ctx, std::size_t fi,
-                          const std::function<bool(std::size_t)>& pred,
-                          int depth)
-    {
-        std::set<std::size_t> seen{fi};
-        std::deque<std::pair<std::size_t, int>> queue;
-        queue.emplace_back(fi, 0);
-        while (!queue.empty()) {
-            const auto [cur, d] = queue.front();
-            queue.pop_front();
-            if (cur != fi && pred(cur))
-                return true;
-            if (d >= depth)
-                continue;
-            for (const std::size_t c : ctx.callgraph.callers(cur))
-                if (seen.insert(c).second)
-                    queue.emplace_back(c, d + 1);
-        }
-        return false;
     }
 };
 
