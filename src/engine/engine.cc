@@ -276,19 +276,11 @@ Engine::step()
     // Deadline expiry precedes scheduling so a past-deadline request
     // never takes another token of compute; eviction alone is progress.
     const bool expired = expire_now();
-    // A steady step decodes k more tokens for every running request
-    // without visiting them; any other step is planned here and applied
-    // after it is priced.
-    const std::optional<parallel::BatchWork> steady =
-        scheduler_.steady_step(now_);
-    BatchPlan plan;
-    if (!steady) {
-        plan = scheduler_.schedule(now_);
-        if (plan.empty())
-            return expired;
-    }
+    const BatchPlan& plan = scheduler_.schedule(now_);
+    if (plan.empty())
+        return expired;
 
-    const parallel::BatchWork& work = steady ? *steady : plan.work();
+    const parallel::BatchWork& work = plan.work();
     const std::int64_t batched = work.total_new_tokens();
     const ExecutionPolicy::Choice choice = policy_->choose(batched);
 
@@ -330,18 +322,14 @@ Engine::step()
     if (cfg_.trace)
         cfg_.trace->on_step(ev);
 
-    if (!steady) {
-        std::vector<Request*> finished;
-        scheduler_.on_step_complete(now_, plan, &finished);
-        for (const Request* r : finished) {
-            if (on_finish_ && !on_finish_(*r))
-                continue;  // duplicate copy of an already-settled request
-            metrics_.on_request_finished(*r);
-        }
-        free_terminal(finished);
+    finished_.clear();
+    scheduler_.on_step_complete(now_, plan, &finished_);
+    for (const Request* r : finished_) {
+        if (on_finish_ && !on_finish_(*r))
+            continue;  // duplicate copy of an already-settled request
+        metrics_.on_request_finished(*r);
     }
-    SP_DEBUG_ASSERT(scheduler_.consistent(),
-                    "scheduler drifted from its queues");
+    free_terminal(finished_);
 
     if (cfg_.trace) {
         obs::GaugeEvent g;

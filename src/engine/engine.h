@@ -397,6 +397,7 @@ class Engine : public sim::Component
     std::unordered_map<RequestId, Request> live_;
     std::function<bool(const Request&)> on_finish_;
     std::function<void(RequestId)> on_expire_;
+    std::vector<Request*> finished_;  ///< a step's finishes (reused)
     double now_ = 0.0;
     bool failed_ = false;
     bool draining_ = false;  ///< graceful drain: admission closed

@@ -94,6 +94,17 @@ struct Request
     /** Output tokens produced so far. */
     std::int64_t decoded = 0;
 
+    /** Admission stamp: the scheduler's admission count when the request
+     *  last entered the running set (the running set's order). */
+    std::int64_t admitted = 0;
+
+    /**
+     * The scheduler's decode-group epoch when `decoded` and `kv` were
+     * last written, or -1 while the request is not a group member. A
+     * member's `decoded` and `kv` lag k tokens per group step since then.
+     */
+    std::int64_t synced_epoch = -1;
+
     /** Times the request was preempted (recompute preemption). */
     int preemptions = 0;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -16,6 +17,12 @@ owed_tokens(const Request* r)
 {
     return r->prefill_remaining() + (r->spec.output_tokens - r->decoded);
 }
+
+/** Decode-group heap order: a min-heap on (finish epoch, admission). */
+constexpr auto finishes_later = [](const auto& a, const auto& b) {
+    return a.finish != b.finish ? a.finish > b.finish
+                                : a.admitted > b.admitted;
+};
 
 } // namespace
 
@@ -41,7 +48,7 @@ Scheduler::Scheduler(SchedulerOptions opts, kvcache::CacheManager* cache)
     SP_ASSERT(cache != nullptr);
     SP_ASSERT(opts_.max_batched_tokens >= 1 && opts_.max_running_seqs >= 1);
     SP_ASSERT(opts_.decode_tokens_per_step >= 1);
-    run_.residues.assign(static_cast<std::size_t>(cache_->block_size()), 0);
+    group_.classes.assign(static_cast<std::size_t>(cache_->block_size()), 0);
 }
 
 void
@@ -56,7 +63,6 @@ void
 Scheduler::enqueue(Request* r)
 {
     SP_ASSERT(r != nullptr && r->state == RequestState::kWaiting);
-    materialize();
     if (r->spec.deadline > 0.0)
         deadline_floor_ = std::min(deadline_floor_, r->spec.deadline);
     outstanding_ += owed_tokens(r);
@@ -95,15 +101,17 @@ Scheduler::erase_waiting(std::deque<Request*>::iterator it)
 }
 
 std::int64_t
-Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
+Scheduler::preempt_one(const Request* keep)
 {
     // vLLM preempts the most recently admitted sequence first so the oldest
     // requests keep their progress (FCFS fairness under memory pressure).
     // Prefer victims that are not already part of this step's plan; when
     // none exists, evict a planned one, retract its chunk, and report the
     // retracted tokens so the caller can refund its budget.
+    // A member the pass has planned is synced to the step's end epoch.
     auto in_plan = [&](const Request* r) {
-        return std::any_of(plan->chunks.begin(), plan->chunks.end(),
+        return r->synced_epoch > group_.epoch ||
+               std::any_of(plan_.chunks.begin(), plan_.chunks.end(),
                            [&](const ScheduledChunk& c) {
                                return c.request == r;
                            });
@@ -115,7 +123,8 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
                 continue;
             if (pass == 0 && in_plan(victim))
                 continue;
-            const std::int64_t retracted = plan->retract(victim);
+            const std::int64_t retracted =
+                plan_.retract(victim) + unlink_running(victim);
             retire(victim);
             victim->reset_for_recompute();
             outstanding_ += owed_tokens(victim);  // back, owing a recompute
@@ -129,14 +138,62 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
     return -1;
 }
 
-BatchPlan
+void
+Scheduler::admit(Request* r, RequestState state, double now)
+{
+    r->state = state;
+    if (r->first_scheduled < 0.0) {
+        r->first_scheduled = now;
+        publish(r, obs::RequestPhase::kFirstSchedule, now);
+    } else {
+        publish(r, obs::RequestPhase::kResume, now);
+    }
+    r->admitted = admissions_++;
+    running_.push_back(r);
+}
+
+std::int64_t
+Scheduler::unlink_running(Request* r)
+{
+    if (r->state == RequestState::kPrefill) {
+        std::erase(prefilling_, r);
+        return 0;
+    }
+    return r->synced_epoch >= 0 ? drop_member(r) : 0;
+}
+
+std::int64_t
+Scheduler::drop_member(Request* r)
+{
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    std::int64_t planned = 0;
+    if (r->synced_epoch > group_.epoch) {
+        // Planned by this step's pass: give its k tokens back.
+        planned = k;
+        r->decoded -= k;
+        r->synced_epoch = group_.epoch;
+        plan_.work_.remove(k, r->prefix_filled + r->kv.num_tokens() - k,
+                           /*is_prefill=*/false);
+    } else {
+        sync(r);
+    }
+    leave(r, r->kv.num_tokens() - planned);
+    const auto it = std::find_if(
+        group_.heap.begin(), group_.heap.end(),
+        [r](const Member& m) { return m.request == r; });
+    SP_ASSERT(it != group_.heap.end(), "decode-group member not in heap");
+    *it = group_.heap.back();
+    group_.heap.pop_back();
+    std::make_heap(group_.heap.begin(), group_.heap.end(), finishes_later);
+    r->synced_epoch = -1;
+    return planned;
+}
+
+const BatchPlan&
 Scheduler::schedule(double now)
 {
-    materialize();
-    BatchPlan plan;
-    // Every running sequence plus one admission, so a typical step never
-    // re-grows the plan.
-    plan.chunks.reserve(running_.size() + 1);
+    plan_.chunks.clear();
+    plan_.work_ = {};
     std::int64_t budget = opts_.max_batched_tokens;
     sched_now_ = now;  // stamps preemption/lifecycle events this call
 
@@ -145,6 +202,7 @@ Scheduler::schedule(double now)
     // materialize their transferred KV without compute; doing this before
     // the decode pass lets them decode in this very step. The scan runs
     // only while such a request waits.
+    const std::size_t migrated_from = running_.size();
     bool migrated_blocked = false;
     for (auto it = waiting_.begin();
          waiting_prefilled_ > 0 && it != waiting_.end() &&
@@ -164,51 +222,74 @@ Scheduler::schedule(double now)
             continue;
         }
         it = erase_waiting(it);
-        r->state = RequestState::kDecode;
-        if (r->first_scheduled < 0.0) {
-            r->first_scheduled = now;
-            publish(r, obs::RequestPhase::kFirstSchedule, now);
-        } else {
-            publish(r, obs::RequestPhase::kResume, now);
-        }
-        running_.push_back(r);
+        admit(r, RequestState::kDecode, now);
     }
 
-    // ---- Decode pass: one token per running sequence ---------------------
-    // Iterate over a snapshot index range because preemption mutates
-    // running_ behind the cursor.
-    for (std::size_t i = 0; i < running_.size() && budget > 0;) {
-        Request* r = running_[i];
-        if (r->state != RequestState::kDecode) {
-            ++i;
-            continue;
-        }
-        const std::int64_t past = r->prefix_filled + r->kv.num_tokens();
-        // Cap the chunk at the remaining budget: with multi-token decode
-        // steps (speculative decoding) an uncapped chunk could push
-        // the batched tokens past max_batched_tokens, distorting the
-        // ShiftController's Alg. 2 decision near the threshold.
-        const std::int64_t tokens =
-            std::min({opts_.decode_tokens_per_step,
-                      r->spec.output_tokens - r->decoded, budget});
-        SP_ASSERT(tokens >= 1);
-        while (!cache_->try_append(r->kv, tokens)) {
-            const std::int64_t retracted = preempt_one(r, &plan);
-            if (retracted < 0) {
-                fatal("KV cache cannot hold a single decoding request; "
-                      "increase memory or reduce context");
+    // ---- Decode pass: k tokens per running sequence ------------------------
+    // A group step plans the members without reading them. Otherwise the
+    // pass plans every decoder in admission order and preempts on
+    // shortage; members stay in the group (each decodes its k tokens,
+    // written at once) unless the budget clips the pass, which first
+    // dissolves the group.
+    if (!plan_group_step(migrated_from, &budget)) {
+        if (path_ == Path::kBudget)
+            dissolve();
+        std::size_t i = 0;
+        for (; i < running_.size() && budget > 0;) {
+            Request* r = running_[i];
+            if (r->state != RequestState::kDecode) {
+                ++i;
+                continue;
             }
-            // A planned victim's chunk was retracted: refund its tokens so
-            // the freed budget stays spendable this step.
-            budget += retracted;
-            // Preemption may have removed requests before the cursor.
-            const auto pos =
-                std::find(running_.begin(), running_.end(), r);
-            i = static_cast<std::size_t>(pos - running_.begin());
+            const bool member = r->synced_epoch >= 0;
+            if (member)
+                sync(r);
+            const std::int64_t past = r->prefix_filled + r->kv.num_tokens();
+            // Cap the chunk at the remaining budget: with multi-token
+            // decode steps (speculative decoding) an uncapped chunk could
+            // push the batched tokens past max_batched_tokens, distorting
+            // the ShiftController's Alg. 2 decision near the threshold.
+            const std::int64_t tokens =
+                std::min({opts_.decode_tokens_per_step,
+                          r->spec.output_tokens - r->decoded, budget});
+            SP_ASSERT(tokens >= 1);
+            while (!cache_->try_append(r->kv, tokens)) {
+                const std::int64_t retracted = preempt_one(r);
+                if (retracted < 0) {
+                    fatal("KV cache cannot hold a single decoding request; "
+                          "increase memory or reduce context");
+                }
+                // A planned victim's chunk was retracted: refund its
+                // tokens so the freed budget stays spendable this step.
+                budget += retracted;
+                // Preemption may have removed requests before the cursor.
+                const auto pos =
+                    std::find(running_.begin(), running_.end(), r);
+                i = static_cast<std::size_t>(pos - running_.begin());
+            }
+            if (member) {
+                // Its progress is written now, so it is synced to the
+                // epoch this step ends; `on_step_complete` skips it.
+                plan_.work_.add(tokens, past, /*is_prefill=*/false);
+                r->decoded += tokens;
+                r->synced_epoch = group_.epoch + 1;
+            } else {
+                plan_.push({r, tokens, past, false});
+            }
+            budget -= tokens;
+            ++i;
         }
-        plan.push({r, tokens, past, false});
-        budget -= tokens;
-        ++i;
+        // When every decoder got its tokens, the chunk walk of
+        // `on_step_complete` can re-form a dissolved group; only a budget
+        // clip leaves a decoder out, and it has dissolved the group.
+        const bool all_planned = std::none_of(
+            running_.begin() + static_cast<std::ptrdiff_t>(i),
+            running_.end(), [](const Request* r) {
+                return r->state == RequestState::kDecode;
+            });
+        SP_ASSERT(all_planned || !group_.complete,
+                  "a decode-group member got no tokens");
+        group_.complete = all_planned;
     }
 
     // ---- Prefill pass ------------------------------------------------------
@@ -216,19 +297,9 @@ Scheduler::schedule(double now)
     // chunked-prefill budget in one priority-ordered pass: a freshly
     // arrived latency-class request takes budget ahead of an in-flight
     // batch-class prefill. Within a class, continuing work precedes new
-    // admissions and each list keeps its own order. waiting_ is already
-    // sorted (descending class, FCFS within), so the pass merges it with
-    // the class-sorted running prefills instead of sorting the queue.
-    prefilling_.clear();
-    for (Request* r : running_) {
-        if (r->state == RequestState::kPrefill && !r->prefill_done())
-            prefilling_.push_back(r);
-    }
-    std::stable_sort(prefilling_.begin(), prefilling_.end(),
-                     [](const Request* a, const Request* b) {
-                         return a->spec.priority > b->spec.priority;
-                     });
-
+    // admissions and each list keeps its own order. Both lists are kept
+    // sorted (descending class, FCFS within), so the pass merges them.
+    const std::size_t admitted_from = running_.size();
     auto next = prefilling_.begin();
     auto w = waiting_.begin();
     // Admission stops for good once it is blocked or running_ is full;
@@ -241,7 +312,7 @@ Scheduler::schedule(double now)
         admitting = admitting && w != waiting_.end();
         if (next != prefilling_.end() &&
             (!admitting || (*next)->spec.priority >= (*w)->spec.priority)) {
-            budget -= schedule_prefill(*next++, budget, &plan);
+            budget -= schedule_prefill(*next++, budget);
             continue;
         }
         if (!admitting)
@@ -253,7 +324,7 @@ Scheduler::schedule(double now)
         }
         Request* r = *w;
         attach_prefix_if_needed(r);
-        const std::int64_t scheduled = schedule_prefill(r, budget, &plan);
+        const std::int64_t scheduled = schedule_prefill(r, budget);
         if (scheduled == 0) {
             // Keep intra-class FCFS: later (same or lower class) waiting
             // requests must not jump a blocked one.
@@ -261,25 +332,87 @@ Scheduler::schedule(double now)
             continue;
         }
         w = erase_waiting(w);
-        r->state = RequestState::kPrefill;
-        if (r->first_scheduled < 0.0) {
-            r->first_scheduled = now;
-            publish(r, obs::RequestPhase::kFirstSchedule, now);
-        } else {
-            publish(r, obs::RequestPhase::kResume, now);
-        }
-        running_.push_back(r);
+        admit(r, RequestState::kPrefill, now);
         budget -= scheduled;
+    }
+    // This step's admissions join the prefill list behind their class.
+    for (std::size_t i = admitted_from; i < running_.size(); ++i) {
+        Request* r = running_[i];
+        auto pos = prefilling_.end();
+        while (pos != prefilling_.begin() &&
+               (*std::prev(pos))->spec.priority < r->spec.priority)
+            --pos;
+        prefilling_.insert(pos, r);
     }
 
     // Livelock escape: if the cache is packed with half-prefilled requests
     // so that nothing could be scheduled, preempt the newest and retry so
     // the oldest prefill can finish (recompute preemption, vLLM-style).
-    if (plan.empty() && running_.size() > 1 &&
-        preempt_one(nullptr, &plan) >= 0)
+    // An empty plan has no decoder, so the victim is a prefill.
+    if (plan_.empty() && running_.size() > 1 && preempt_one(nullptr) >= 0)
         return schedule(now);
 
-    return plan;
+    return plan_;
+}
+
+bool
+Scheduler::plan_group_step(std::size_t migrated_from, std::int64_t* budget)
+{
+    if (!group_.complete) {
+        path_ = Path::kDissolved;
+        return false;
+    }
+    // Members whose last tokens fall in this step leave the group; the
+    // heap pops them in admission order, and the migrated-in decoders
+    // were admitted after every member.
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    explicit_.clear();
+    while (!group_.heap.empty() &&
+           group_.heap.front().finish == group_.epoch + 1) {
+        std::pop_heap(group_.heap.begin(), group_.heap.end(),
+                      finishes_later);
+        Request* r = group_.heap.back().request;
+        group_.heap.pop_back();
+        sync(r);
+        leave(r, r->kv.num_tokens());
+        r->synced_epoch = -1;
+        explicit_.push_back(r);
+    }
+    explicit_.insert(explicit_.end(),
+                     running_.begin() + static_cast<std::ptrdiff_t>(migrated_from),
+                     running_.end());
+
+    // The full decode pass would append k tokens to every member and
+    // min(k, left) to each explicit decoder. It needs no budget clip when
+    // all of them fit the budget, and no eviction or preemption when
+    // their blocks fit the free blocks; then one charge covers them all.
+    std::int64_t tokens = group_.work.decodes.tokens;
+    std::int64_t blocks = group_blocks();
+    for (const Request* r : explicit_) {
+        const std::int64_t n =
+            std::min(k, r->spec.output_tokens - r->decoded);
+        tokens += n;
+        blocks += cache_->blocks_for_tokens(r->kv.num_tokens() + n) -
+                  r->kv.num_blocks();
+    }
+    if (tokens > *budget) {
+        path_ = Path::kBudget;
+        return false;
+    }
+    if (!cache_->try_charge(blocks)) {
+        path_ = Path::kShortage;
+        return false;
+    }
+    path_ = Path::kGroup;
+    plan_.work_ = group_.work;
+    for (Request* r : explicit_) {
+        const std::int64_t n =
+            std::min(k, r->spec.output_tokens - r->decoded);
+        plan_.push({r, n, r->prefix_filled + r->kv.num_tokens(), false});
+        cache_->credit(r->kv, n);
+    }
+    *budget -= tokens;
+    return true;
 }
 
 void
@@ -290,7 +423,6 @@ Scheduler::cancel(Request* r)
                   r->state == RequestState::kPrefill ||
                   r->state == RequestState::kDecode,
               "cancel of a request that is neither waiting nor running");
-    materialize();
     if (r->state == RequestState::kWaiting) {
         const auto it = std::find(waiting_.begin(), waiting_.end(), r);
         SP_ASSERT(it != waiting_.end(), "waiting request not in queue");
@@ -298,6 +430,7 @@ Scheduler::cancel(Request* r)
     } else {
         const auto it = std::find(running_.begin(), running_.end(), r);
         SP_ASSERT(it != running_.end(), "running request not in queue");
+        unlink_running(r);
         running_.erase(it);
     }
     retire(r);
@@ -322,7 +455,6 @@ Scheduler::take_if(Pred pred)
 {
     // The sweep visits every live request, so it also makes the deadline
     // floor exact again: the minimum over the survivors.
-    materialize();
     std::vector<Request*> taken;
     double floor = std::numeric_limits<double>::infinity();
     const auto take = [&](Request* r) {
@@ -331,15 +463,13 @@ Scheduler::take_if(Pred pred)
                 floor = std::min(floor, r->spec.deadline);
             return false;
         }
+        if (r->state != RequestState::kWaiting)
+            unlink_running(r);
         retire(r);
         taken.push_back(r);
         return true;
     };
-    auto kept = running_.begin();
-    for (Request* r : running_)
-        if (!take(r))
-            *kept++ = r;
-    running_.erase(kept, running_.end());
+    std::erase_if(running_, take);
     for (auto it = waiting_.begin(); it != waiting_.end();)
         it = take(*it) ? erase_waiting(it) : std::next(it);
     deadline_floor_ = floor;
@@ -419,8 +549,6 @@ Scheduler::steal_waiting(double now, std::int64_t max_tokens)
             continue;
         if (r->spec.prompt_tokens + r->spec.output_tokens > max_tokens)
             continue;
-        // No materialize(): a steady run keeps the waiting queue empty,
-        // so no run is open when there is a victim.
         erase_waiting(std::next(it).base());
         retire(r);  // holds no KV or prefix pin: settles its owed tokens
         r->state = RequestState::kMigrated;
@@ -456,7 +584,7 @@ Scheduler::attach_prefix_if_needed(Request* r)
 }
 
 std::int64_t
-Scheduler::schedule_prefill(Request* r, std::int64_t budget, BatchPlan* plan)
+Scheduler::schedule_prefill(Request* r, std::int64_t budget)
 {
     std::int64_t chunk = std::min(r->prefill_remaining(), budget);
     chunk = std::min(chunk, cache_->free_tokens());
@@ -484,7 +612,7 @@ Scheduler::schedule_prefill(Request* r, std::int64_t budget, BatchPlan* plan)
         chunk = to_prefix;  // schedule just the shared part this step
     }
     r->prefix_filled += to_prefix;
-    plan->push({r, chunk, past, true});
+    plan_.push({r, chunk, past, true});
     publish(r, obs::RequestPhase::kPrefillChunk, sched_now_, chunk);
     return chunk;
 }
@@ -494,18 +622,18 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
                             std::vector<Request*>* finished)
 {
     SP_ASSERT(finished != nullptr);
-    materialize();
-    // While the chunks are walked, find out whether the next step may be
-    // steady: every running request had a chunk, every one that did not
-    // finish is now decoding, none waits, and k tokens each fit the
-    // budget. A chunk leaves its request's context at `past + new_tokens`.
     const std::int64_t k = opts_.decode_tokens_per_step;
-    const std::int64_t block_size = std::ssize(run_.residues);
-    std::fill(run_.residues.begin(), run_.residues.end(), 0);
-    bool steady = plan.chunks.size() == running_.size() && waiting_.empty();
-    std::int64_t seqs = 0;
-    std::int64_t fewest_left = std::numeric_limits<std::int64_t>::max();
-    std::int64_t context = 0;
+    if (group_.complete) {
+        // Every member decoded k tokens, so by the next step each past has
+        // grown by k: every chunk's pairs grow by k·k and its doubled KV
+        // read by 2k.
+        const std::int64_t tokens = group_.work.decodes.tokens;
+        ++group_.epoch;
+        group_.shift = (group_.shift + k) % std::ssize(group_.classes);
+        outstanding_ -= tokens;
+        group_.work.decodes.pairs += k * tokens;
+        group_.work.decodes.read2 += 2 * tokens;
+    }
     const std::size_t finished_before = finished->size();
     for (const auto& c : plan.chunks) {
         Request* r = c.request;
@@ -514,13 +642,12 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
             r->prefilled += c.new_tokens;
             SP_ASSERT(r->prefilled <= r->prefill_target,
                       "prefill overshoot");
-            if (!r->prefill_done()) {
-                steady = false;
+            if (!r->prefill_done())
                 continue;
-            }
             // The step that completes prefill also samples the next output
             // token (vLLM semantics): the first token for fresh requests,
             // the resumption token after a recompute preemption.
+            std::erase(prefilling_, r);
             r->state = RequestState::kDecode;
             r->decoded += 1;
             --outstanding_;
@@ -538,85 +665,100 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
             finished->push_back(r);
             publish(r, obs::RequestPhase::kFinish, now,
                     r->spec.output_tokens);
-        } else if (steady) {
-            ++seqs;
-            // kv.num_tokens() mod block_size, from the block count that
-            // already holds ⌈tokens / block_size⌉ (no division).
-            const std::int64_t in_last =
-                r->kv.num_tokens() - (r->kv.num_blocks() - 1) * block_size;
-            ++run_.residues[in_last == block_size ? 0 : in_last];
-            fewest_left =
-                std::min(fewest_left, r->spec.output_tokens - r->decoded);
-            context += c.past + c.new_tokens;
+        } else if (group_.complete) {
+            join(r);
         }
     }
-    if (finished->size() > finished_before) {
-        // One order-preserving compaction instead of an erase per finish.
-        std::erase_if(running_, [](const Request* r) {
+    if (!group_.complete) {
+        // After a budget-clipped step every surviving decoder joins, in
+        // one order-preserving pass that also drops the finished.
+        std::erase_if(running_, [this](Request* r) {
+            if (r->state == RequestState::kDecode)
+                join(r);
             return r->state == RequestState::kFinished;
         });
+        group_.complete = true;
+    } else if (finished->size() > finished_before) {
+        // Drop the finished by address: the pass reads no other request.
+        leaving_.assign(finished->begin() +
+                            static_cast<std::ptrdiff_t>(finished_before),
+                        finished->end());
+        std::sort(leaving_.begin(), leaving_.end());
+        std::erase_if(running_, [this](const Request* r) {
+            return std::binary_search(leaving_.begin(), leaving_.end(), r);
+        });
     }
-    // Steady steps end one step before the next request could finish.
-    // `work` is the first one's: k tokens per request after `context`.
-    steady = steady && seqs > 0 && seqs * k <= opts_.max_batched_tokens;
-    run_.limit = steady ? (fewest_left - 1) / k : 0;
-    run_.armed = run_.limit >= 1;
-    run_.seqs = seqs;
-    run_.work.decodes = {.seqs = seqs,
-                         .tokens = k * seqs,
-                         .pairs = k * context + seqs * (k * (k + 1) / 2),
-                         .read2 = 2 * context + k * seqs};
-}
-
-std::optional<parallel::BatchWork>
-Scheduler::steady_step(double now)
-{
-    if (!run_.armed || run_.steps == run_.limit || now >= deadline_floor_ ||
-        !cache_->try_charge(steady_blocks()))
-        return std::nullopt;
-    const parallel::BatchWork work = run_.work;
-    // Each request decodes k tokens, so by the next step each past has
-    // grown by k: every chunk's pairs grow by k·k and its doubled KV
-    // read by 2k.
-    const std::int64_t k = opts_.decode_tokens_per_step;
-    const std::int64_t tokens = k * run_.seqs;
-    ++run_.steps;
-    outstanding_ -= tokens;
-    run_.work.decodes.pairs += k * tokens;
-    run_.work.decodes.read2 += 2 * tokens;
-    SP_DEBUG_ASSERT(consistent(),
-                    "steady run drifted from its running requests");
-    return work;
-}
-
-std::int64_t
-Scheduler::steady_blocks() const
-{
-    // A request that armed at KV residue r sits at s = (r + steps·k) mod
-    // bs. Appending k tokens from s takes ⌊k/bs⌋ blocks, plus one more
-    // when s is 0 or above bs - (k mod bs): the k mod bs residues
-    // (bs - j) mod bs, j < k mod bs.
-    const std::int64_t bs = std::ssize(run_.residues);
-    const std::int64_t k = opts_.decode_tokens_per_step;
-    const std::int64_t shift = run_.steps * k % bs;
-    std::int64_t blocks = run_.seqs * (k / bs);
-    for (std::int64_t j = 0; j < k % bs; ++j)
-        blocks += run_.residues[(2 * bs - j - shift) % bs];
-    return blocks;
+    SP_DEBUG_ASSERT(consistent(), "decode group drifted from its members");
 }
 
 void
-Scheduler::materialize()
+Scheduler::sync(Request* r)
 {
-    if (run_.steps > 0) {
-        const std::int64_t tokens = run_.steps * opts_.decode_tokens_per_step;
-        for (Request* r : running_) {
-            r->decoded += tokens;
-            cache_->credit(r->kv, tokens);
-        }
+    SP_DEBUG_ASSERT(r->synced_epoch >= 0 && r->synced_epoch <= group_.epoch);
+    const std::int64_t tokens =
+        (group_.epoch - r->synced_epoch) * opts_.decode_tokens_per_step;
+    r->synced_epoch = group_.epoch;
+    if (tokens > 0) {
+        r->decoded += tokens;
+        cache_->credit(r->kv, tokens);
     }
-    run_.armed = false;
-    run_.steps = 0;
+}
+
+std::int64_t
+Scheduler::residue_class(std::int64_t kv_tokens) const
+{
+    const std::int64_t bs = std::ssize(group_.classes);
+    const std::int64_t c = kv_tokens % bs - group_.shift;
+    return c < 0 ? c + bs : c;
+}
+
+void
+Scheduler::join(Request* r)
+{
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    r->synced_epoch = group_.epoch;
+    ++group_.classes[residue_class(r->kv.num_tokens())];
+    group_.work.add(k, r->prefix_filled + r->kv.num_tokens(),
+                    /*is_prefill=*/false);
+    const std::int64_t left = r->spec.output_tokens - r->decoded;
+    group_.heap.push_back({group_.epoch + (left + k - 1) / k, r->admitted, r});
+    std::push_heap(group_.heap.begin(), group_.heap.end(), finishes_later);
+}
+
+void
+Scheduler::leave(const Request* r, std::int64_t kv_tokens)
+{
+    --group_.classes[residue_class(kv_tokens)];
+    group_.work.remove(opts_.decode_tokens_per_step,
+                       r->prefix_filled + kv_tokens, /*is_prefill=*/false);
+}
+
+void
+Scheduler::dissolve()
+{
+    for (const Member& m : group_.heap) {
+        sync(m.request);
+        m.request->synced_epoch = -1;
+    }
+    group_.heap.clear();
+    std::fill(group_.classes.begin(), group_.classes.end(), 0);
+    group_.work = {};
+    group_.complete = false;
+}
+
+std::int64_t
+Scheduler::group_blocks() const
+{
+    // A member of class c sits at KV residue s = (c + epoch·k) mod bs.
+    // Appending k tokens from s takes ⌊k/bs⌋ blocks, plus one more when s
+    // is 0 or above bs - (k mod bs): the k mod bs residues (bs - j) mod
+    // bs, j < k mod bs.
+    const std::int64_t bs = std::ssize(group_.classes);
+    const std::int64_t k = opts_.decode_tokens_per_step;
+    std::int64_t blocks = group_.work.decodes.seqs * (k / bs);
+    for (std::int64_t j = 0; j < k % bs; ++j)
+        blocks += group_.classes[(2 * bs - j - group_.shift) % bs];
+    return blocks;
 }
 
 double
@@ -632,9 +774,13 @@ bool
 Scheduler::consistent() const
 {
     const std::int64_t k = opts_.decode_tokens_per_step;
-    parallel::BatchWork next;  // the next steady step's sums
+    const std::int64_t bs = std::ssize(group_.classes);
+    parallel::BatchWork next;  // the members' next-step sums
+    std::vector<std::int64_t>& scratch = check_scratch_;  // no allocation
+    scratch.assign(group_.classes.size(), 0);             // once grown
     std::int64_t owed = 0;
     std::int64_t blocks = 0;
+    std::size_t prefilled = 0, members = 0, prefills = 0;
     bool ok = true;
     const auto visit = [&](const Request* r, std::int64_t lag) {
         const std::int64_t tokens = r->kv.num_tokens() + lag;
@@ -642,21 +788,79 @@ Scheduler::consistent() const
         blocks += cache_->blocks_for_tokens(tokens);
         ok = ok && (r->spec.deadline <= 0.0 ||
                     r->spec.deadline >= deadline_floor_);
-        if (run_.armed) {
-            next.add(k, r->prefix_filled + tokens, /*is_prefill=*/false);
-            ok = ok && r->state == RequestState::kDecode;
-        }
     };
-    for (const Request* r : waiting_)
+    for (const Request* r : waiting_) {
         visit(r, 0);
-    for (const Request* r : running_)
-        visit(r, k * run_.steps);
-    if (run_.armed) {
-        ok = ok && waiting_.empty() && std::ssize(running_) == run_.seqs &&
-             next == run_.work;
+        ok = ok && r->state == RequestState::kWaiting;
+        prefilled += r->prefill_done();
     }
-    return ok && owed == outstanding_ &&
-           cache_->accounting_consistent(blocks);
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+        const Request* r = running_[i];
+        ok = ok && (i == 0 || running_[i - 1]->admitted < r->admitted);
+        prefills += r->state == RequestState::kPrefill;
+        if (!group_.complete || r->state != RequestState::kDecode) {
+            ok = ok && r->synced_epoch == -1;
+            visit(r, 0);
+            continue;
+        }
+        ok = ok && r->synced_epoch >= 0 && r->synced_epoch <= group_.epoch;
+        const std::int64_t lag = k * (group_.epoch - r->synced_epoch);
+        visit(r, lag);
+        ++members;
+        const std::int64_t tokens = r->kv.num_tokens() + lag;
+        next.add(k, r->prefix_filled + tokens, /*is_prefill=*/false);
+        ++scratch[static_cast<std::size_t>(
+            ((tokens - k * group_.epoch) % bs + bs) % bs)];
+        ok = ok && lag >= 0 && r->decoded + lag < r->spec.output_tokens;
+    }
+    ok = ok && next == group_.work && scratch == group_.classes &&
+         prefilled == waiting_prefilled_ && owed == outstanding_;
+
+    // `r`'s index in the admission-ordered running set, or -1 when it is
+    // not running (hand-written: the oracle runs on every Debug step).
+    const auto index = [&](const Request* r) -> std::ptrdiff_t {
+        std::size_t lo = 0, hi = running_.size();
+        while (lo < hi) {
+            const std::size_t mid = (lo + hi) / 2;
+            if (running_[mid]->admitted < r->admitted)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo < running_.size() && running_[lo] == r
+                   ? static_cast<std::ptrdiff_t>(lo)
+                   : -1;
+    };
+    // The heap holds each member once, due when its last tokens fall.
+    ok = ok && group_.heap.size() == members &&
+         std::is_heap(group_.heap.begin(), group_.heap.end(),
+                      finishes_later);
+    scratch.assign(running_.size(), 0);  // members met in the heap
+    for (const Member& m : group_.heap) {
+        const Request* r = m.request;
+        const std::ptrdiff_t i = index(r);
+        if (!ok || i < 0 || scratch[static_cast<std::size_t>(i)]++ > 0)
+            return false;  // read no request that is not running
+        const std::int64_t left = r->spec.output_tokens - r->decoded -
+                                  k * (group_.epoch - r->synced_epoch);
+        ok = r->state == RequestState::kDecode &&
+             m.admitted == r->admitted &&
+             m.finish == group_.epoch + (left + k - 1) / k;
+    }
+    // The prefill list holds each running prefill once, by descending
+    // class and in admission order within one.
+    ok = ok && prefilling_.size() == prefills;
+    for (std::size_t i = 0; ok && i < prefilling_.size(); ++i) {
+        const Request* r = prefilling_[i];
+        ok = index(r) >= 0 && r->state == RequestState::kPrefill;
+        if (ok && i > 0) {
+            const Request* p = prefilling_[i - 1];
+            ok = p->spec.priority > r->spec.priority ||
+                 (p->spec.priority == r->spec.priority &&
+                  p->admitted < r->admitted);
+        }
+    }
+    return ok && cache_->accounting_consistent(blocks);
 }
 
 } // namespace shiftpar::engine

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "engine/metrics.h"
@@ -65,14 +64,19 @@ struct ScheduledChunk
     bool is_prefill = false;
 };
 
-/** The batch an iteration will execute. */
+/**
+ * The batch an iteration will execute: the decode group's members
+ * (advanced implicitly, k tokens each; only their sums are in `work()`)
+ * plus the explicit chunks.
+ */
 struct BatchPlan
 {
-    /** The chunks in scheduling order; grown only through `push`. */
+    /** The explicit chunks in scheduling order; grown only through
+     *  `push`. */
     std::vector<ScheduledChunk> chunks;
 
     /** @return true when nothing was schedulable. */
-    bool empty() const { return chunks.empty(); }
+    bool empty() const { return work_.num_seqs() == 0; }
 
     /** Append `c` and add it to `work()`. */
     void push(const ScheduledChunk& c)
@@ -90,7 +94,9 @@ struct BatchPlan
     const parallel::BatchWork& work() const { return work_; }
 
   private:
-    parallel::BatchWork work_;  ///< the sums of `chunks`, kept as pushed
+    friend class Scheduler;  // starts each plan from the group's sums
+
+    parallel::BatchWork work_;  ///< the group's sums plus `chunks`'
 };
 
 /** FCFS continuous-batching scheduler bound to one engine's KV cache. */
@@ -110,29 +116,21 @@ class Scheduler
     void enqueue(Request* r);
 
     /**
-     * Take a *steady* step if one is due: after the last full step every
-     * running request is decoding and none finished or waits, nothing
-     * has entered or left the queues since, `decode_tokens_per_step` (k)
-     * tokens each fit the budget, no request finishes this step, `now`
-     * is before the deadline floor and the step's block crossings fit the
-     * free blocks. The full path would then plan k decode tokens for
-     * every running request, so the step costs O(k) here: one pool
-     * charge, the outstanding total and the decode sums. Per-request
-     * progress is written back by the next other entry point.
-     *
-     * @return the step's work, or nullopt when the step must take the
-     * full `schedule` / `on_step_complete` path.
-     */
-    std::optional<parallel::BatchWork> steady_step(double now);
-
-    /**
      * Assemble the next iteration's batch, acquiring KV blocks as needed.
      *
+     * The decode group's members are planned implicitly when the step
+     * needs no preemption, no prefix eviction and no budget clip for its
+     * decoders. Otherwise (the fallback) every decoder is planned in
+     * admission order, preempting on shortage; the members stay in the
+     * group unless the budget clips the pass, which dissolves it first.
+     * Either way the plan and its sums are those of the full pass.
+     *
      * @param now Current engine time (stamps first_scheduled).
-     * @return the plan; empty when no request can make progress (all
-     * waiting requests blocked on KV with nothing running to preempt).
+     * @return the plan, valid until the next call; empty when no request
+     * can make progress (all waiting requests blocked on KV with nothing
+     * running to preempt).
      */
-    BatchPlan schedule(double now);
+    const BatchPlan& schedule(double now);
 
     /**
      * Cancel a live (waiting or running) request (client abort): removes
@@ -187,9 +185,10 @@ class Scheduler
     std::vector<Request*> fail_all();
 
     /**
-     * Apply the effects of a completed step: advance prefill progress,
-     * emit tokens, finish requests (releasing their KV), and arm a steady
-     * run when the next step qualifies (see `steady_step`).
+     * Apply the effects of a completed step: advance the decode group,
+     * advance prefill progress, emit tokens, finish requests (releasing
+     * their KV) and let new decoders join the group. Walks only the
+     * plan's explicit chunks, plus the running set after a fallback.
      *
      * @param now Step end time.
      * @param plan The plan returned by `schedule`.
@@ -218,12 +217,11 @@ class Scheduler
 
     /**
      * Debug oracle, O(n): recounts the waiting and running requests, the
-     * running ones taken `k·steps` tokens ahead while a steady run is
-     * open, and checks the outstanding total, the deadline floor and the
-     * pool's used KV blocks. While a run is armed it also checks that
-     * every request is decoding, that the run counts them all and that
-     * its next-step sums match the recount. `Engine` asserts it after
-     * every step and terminal path in Debug builds.
+     * decode group's members taken their lag ahead, and checks the
+     * outstanding total, the deadline floor, the pool's used KV blocks,
+     * the group (size, residue classes, next-step sums, finish heap), the
+     * running-prefill list and the migrated-waiting count. Asserted after
+     * every completed step and terminal path in Debug builds.
      */
     bool consistent() const;
 
@@ -237,45 +235,102 @@ class Scheduler
     std::int64_t preemption_count() const { return preemptions_; }
 
   private:
-    friend struct SchedulerTestPeer;  // corrupts the steady run on purpose
+    friend struct SchedulerTestPeer;  // dissolves or corrupts the group
 
-    /**
-     * Write the steady steps taken so far back into each running request
-     * (`decoded` and KV tokens; the pool was charged step by step) and end
-     * the run. O(1) when the run took no steady step. Every entry point
-     * that reads or changes a running request calls it first.
-     */
-    void materialize();
-
-    /**
-     * The steady run `steady_step` advances, armed by `on_step_complete`.
-     * Between materializations the running requests are `steps` steps
-     * behind: each owes k·steps more `decoded` and KV tokens.
-     */
-    struct SteadyRun
+    /** Why the last `schedule` planned its decoders as it did. */
+    enum class Path : std::uint8_t
     {
-        bool armed = false;
-        std::int64_t seqs = 0;   ///< D: running requests, all decoding
-        std::int64_t steps = 0;  ///< steady steps taken, not yet written
-        std::int64_t limit = 0;  ///< steps before the first request ends
-        parallel::BatchWork work;  ///< the next steady step's sums
-        /** Requests per KV-token residue mod block size at arming. */
-        std::vector<std::int64_t> residues;
+        kGroup,      ///< group step: members planned implicitly
+        kDissolved,  ///< fallback: the group had been dissolved
+        kBudget,     ///< fallback: decode tokens overrun the budget
+        kShortage,   ///< fallback: decode blocks exceed the free blocks
+                     ///< (members stay in the group)
     };
 
-    /** @return blocks the next steady step's appends need. */
-    std::int64_t steady_blocks() const;
+    /** One decode-group member in the finish heap. */
+    struct Member
+    {
+        std::int64_t finish;    ///< epoch of the group step that ends it
+        std::int64_t admitted;  ///< admission stamp: ties keep plan order
+        Request* request;
+    };
+
+    /**
+     * The decode group: every running request that is decoding (while
+     * `complete`) advances k tokens per group step without being read.
+     * A member's `decoded` and KV tokens lag k·(epoch − synced_epoch); a
+     * request that is not a member has `synced_epoch` −1.
+     */
+    struct DecodeGroup
+    {
+        bool complete = true;  ///< every running decoder is a member
+        std::int64_t epoch = 0;  ///< group steps taken
+        std::int64_t shift = 0;  ///< k·epoch mod block size
+        /** The members' next-step decode sums (`decodes.seqs` = size). */
+        parallel::BatchWork work;
+        /** Members per (KV tokens − k·epoch) mod block size: constant
+         *  while a member advances with the group. */
+        std::vector<std::int64_t> classes;
+        /** Min-heap on (finish, admitted) over every member. */
+        std::vector<Member> heap;
+    };
+
+    /** Write `r`'s lagging group progress into it (`decoded`, KV). */
+    void sync(Request* r);
+
+    /** Add synced decoder `r` to the group. */
+    void join(Request* r);
+
+    /** Take member `r`'s class and sums, at `kv_tokens` KV tokens, out
+     *  of the group (the caller removes its heap entry). */
+    void leave(const Request* r, std::int64_t kv_tokens);
+
+    /**
+     * Take member `r` out of the group and its heap, its progress written
+     * back. A member this step's pass has planned also gives back its k
+     * tokens of plan work and `decoded`. @return those tokens (0 when it
+     * was not planned).
+     */
+    std::int64_t drop_member(Request* r);
+
+    /** Sync every member and empty the group until a step has planned
+     *  every decoder again (a budget clip; tests use it to force the
+     *  fallback). */
+    void dissolve();
+
+    /** @return the residue class of a member at `kv_tokens` KV tokens. */
+    std::int64_t residue_class(std::int64_t kv_tokens) const;
+
+    /** @return blocks the members' next k-token appends cross into. */
+    std::int64_t group_blocks() const;
+
+    /**
+     * Plan a group step: this step's finishers leave the group and, with
+     * the requests migrated in at `running_[migrated_from..]`, decode
+     * explicitly in admission order. @return false (finishers left and
+     * synced, nothing charged) when the decode tokens overrun `*budget`
+     * or their blocks do not fit the free blocks.
+     */
+    bool plan_group_step(std::size_t migrated_from, std::int64_t* budget);
+
+    /** Stamp `r` and append it to the running set as `state`. */
+    void admit(Request* r, RequestState state, double now);
+
+    /** Prepare running `r` to leave other than by finishing: drop it from
+     *  the prefill list or the decode group. @return the plan tokens it
+     *  gives back as a member planned this step (see `drop_member`). */
+    std::int64_t unlink_running(Request* r);
 
     /**
      * Free KV by recompute-preempting the most recently admitted running
-     * request other than `keep`, retracting the victim's chunk from `plan`
-     * if it had already been scheduled this step.
+     * request other than `keep`, retracting the victim's chunk from the
+     * plan if it had already been scheduled this step.
      *
-     * @return the retracted token count (0 when the victim had no chunk in
-     * `plan`) so the caller can refund its step budget, or -1 when no
+     * @return the retracted token count (0 when the victim had nothing in
+     * the plan) so the caller can refund its step budget, or -1 when no
      * victim could be preempted.
      */
-    std::int64_t preempt_one(const Request* keep, BatchPlan* plan);
+    std::int64_t preempt_one(const Request* keep);
 
     /**
      * Schedule one prefill chunk for `r` within `budget`, splitting the
@@ -284,8 +339,7 @@ class Scheduler
      *
      * @return tokens scheduled (0 when blocked).
      */
-    std::int64_t schedule_prefill(Request* r, std::int64_t budget,
-                                  BatchPlan* plan);
+    std::int64_t schedule_prefill(Request* r, std::int64_t budget);
 
     /** Pin `r` to its shared prefix entry and apply the cache hit. */
     void attach_prefix_if_needed(Request* r);
@@ -321,8 +375,10 @@ class Scheduler
     std::vector<Request*> running_;  // admission order
     /** Waiting requests already prefilled (migrated-in decode work). */
     std::size_t waiting_prefilled_ = 0;
-    /** Running prefills in class order (prefill-pass buffer, reused). */
+    /** Running prefills by descending class, admission order within. */
     std::vector<Request*> prefilling_;
+    /** Admissions so far: the next admission stamp. */
+    std::int64_t admissions_ = 0;
     std::int64_t preemptions_ = 0;
     /** Running sum of every waiting and running request's owed tokens. */
     std::int64_t outstanding_ = 0;
@@ -332,7 +388,15 @@ class Scheduler
     obs::TraceSink* trace_ = nullptr;
     obs::EngineId trace_id_ = 0;
     double sched_now_ = 0.0;  ///< time of the in-progress schedule() call
-    SteadyRun run_;
+    BatchPlan plan_;           ///< the last `schedule`'s plan, reused
+    DecodeGroup group_;
+    Path path_ = Path::kGroup;
+    /** This step's finishing members (then migrated-in decoders), and
+     *  the requests a step finished (by address); reused buffers. */
+    std::vector<Request*> explicit_, leaving_;
+    /** `consistent()`'s recount buffer, reused so a Debug step allocates
+     *  no more than a Release one. */
+    mutable std::vector<std::int64_t> check_scratch_;
 };
 
 } // namespace shiftpar::engine

@@ -101,14 +101,17 @@ TEST_F(SchedulerTest, DecodeTokensScheduledEachStep)
     complete(s, s.schedule(0.0), 0.1);  // prefill + first token
     ASSERT_EQ(r->state, RequestState::kDecode);
 
+    // r decodes in the decode group: its token is in the plan's decode
+    // sums, not in an explicit chunk.
     auto p = s.schedule(0.1);
-    ASSERT_EQ(p.chunks.size(), 1u);
-    EXPECT_FALSE(p.chunks[0].is_prefill);
-    EXPECT_EQ(p.chunks[0].new_tokens, 1);
-    EXPECT_EQ(p.chunks[0].past, 100);
+    EXPECT_TRUE(p.chunks.empty());
+    EXPECT_EQ(p.work().decodes.seqs, 1);
+    EXPECT_EQ(p.work().prefills.seqs, 0);
+    EXPECT_EQ(p.work().decodes.tokens, 1);
+    EXPECT_EQ(p.work().decodes.read2, 2 * 100 + 1);  // past 100
     auto fin = complete(s, p, 0.2);
     EXPECT_TRUE(fin.empty());
-    EXPECT_EQ(r->decoded, 2);
+    EXPECT_EQ(s.outstanding_tokens(), 1);  // 2 of 3 tokens decoded
 
     auto fin2 = complete(s, s.schedule(0.2), 0.3);
     ASSERT_EQ(fin2.size(), 1u);
@@ -129,9 +132,11 @@ TEST_F(SchedulerTest, DecodesAndPrefillShareOneBatch)
     s.enqueue(b);
 
     const auto plan = s.schedule(0.1);
-    ASSERT_EQ(plan.chunks.size(), 2u);
-    EXPECT_FALSE(plan.chunks[0].is_prefill);  // a's decode token first
-    EXPECT_TRUE(plan.chunks[1].is_prefill);   // b's prefill fills the rest
+    EXPECT_EQ(plan.work().decodes.seqs, 1);    // a's decode token (group)
+    EXPECT_EQ(plan.work().decodes.tokens, 1);
+    ASSERT_EQ(plan.chunks.size(), 1u);
+    EXPECT_EQ(plan.chunks[0].request, b);
+    EXPECT_TRUE(plan.chunks[0].is_prefill);   // b's prefill fills the rest
     EXPECT_EQ(plan.work().total_new_tokens(), 501);
 }
 
@@ -171,13 +176,13 @@ TEST_F(SchedulerTest, MultiTokenDecodeForSpeculation)
     s.enqueue(r);
     complete(s, s.schedule(0.0), 0.1);  // prefill, decoded = 1
     auto p = s.schedule(0.1);
-    ASSERT_EQ(p.chunks.size(), 1u);
-    EXPECT_EQ(p.chunks[0].new_tokens, 4);
+    EXPECT_EQ(p.work().decodes.seqs, 1);
+    EXPECT_EQ(p.work().decodes.tokens, 4);
     complete(s, p, 0.2);
-    EXPECT_EQ(r->decoded, 5);
+    EXPECT_EQ(s.outstanding_tokens(), 5);  // decoded 5 of 10
     // Last step is clipped to the remaining output.
     complete(s, s.schedule(0.2), 0.3);
-    EXPECT_EQ(r->decoded, 9);
+    EXPECT_EQ(s.outstanding_tokens(), 1);  // decoded 9 of 10
     auto p3 = s.schedule(0.3);
     EXPECT_EQ(p3.chunks[0].new_tokens, 1);
     auto fin = complete(s, p3, 0.4);
@@ -244,11 +249,12 @@ TEST_F(SchedulerPreemptionTest, DecodeUnderPressurePreemptsNewest)
     EXPECT_EQ(b->preemptions, 1);
     // b must re-prefill prompt + its already-produced token.
     EXPECT_EQ(b->prefill_target, 81);
-    // a keeps decoding.
-    bool a_decodes = false;
-    for (const auto& c : plan.chunks)
-        a_decodes |= (c.request == a && !c.is_prefill);
-    EXPECT_TRUE(a_decodes);
+    // a keeps decoding: the plan's one decode is its token 81, past 80
+    // (a decode-group member, so it is in the sums, not in a chunk).
+    EXPECT_EQ(a->state, RequestState::kDecode);
+    EXPECT_EQ(plan.work().decodes.seqs, 1);
+    EXPECT_EQ(plan.work().decodes.read2, 2 * 80 + 1);
+    EXPECT_EQ(a->kv.num_tokens(), 81);
 }
 
 TEST_F(SchedulerPreemptionTest, PreemptedRequestEventuallyFinishes)

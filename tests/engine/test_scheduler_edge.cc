@@ -14,6 +14,21 @@
 #include "model/presets.h"
 
 namespace shiftpar::engine {
+
+/** Reads how far a decode-group member's progress lags its fields
+ *  (negative between `schedule` and `on_step_complete` for a member the
+ *  fallback pass has already advanced). */
+struct SchedulerTestPeer
+{
+    static std::int64_t
+    lag(const Scheduler& s, const Request& r)
+    {
+        return r.synced_epoch >= 0 ? s.opts_.decode_tokens_per_step *
+                                         (s.group_.epoch - r.synced_epoch)
+                                   : 0;
+    }
+};
+
 namespace {
 
 class SchedulerEdge : public ::testing::Test
@@ -343,8 +358,10 @@ struct Ledger
             if (r->state == RequestState::kWaiting ||
                 r->state == RequestState::kPrefill ||
                 r->state == RequestState::kDecode) {
+                // A decode-group member's `decoded` lags its progress.
                 total += (r->prefill_target - r->prefilled) +
-                         (r->spec.output_tokens - r->decoded);
+                         (r->spec.output_tokens - r->decoded) -
+                         SchedulerTestPeer::lag(sched, *r);
             }
         }
         return total;
