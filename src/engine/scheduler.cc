@@ -178,15 +178,44 @@ Scheduler::drop_member(Request* r)
         sync(r);
     }
     leave(r, r->kv.num_tokens() - planned);
-    const auto it = std::find_if(
-        group_.heap.begin(), group_.heap.end(),
-        [r](const Member& m) { return m.request == r; });
-    SP_ASSERT(it != group_.heap.end(), "decode-group member not in heap");
-    *it = group_.heap.back();
-    group_.heap.pop_back();
-    std::make_heap(group_.heap.begin(), group_.heap.end(), finishes_later);
+    // The last entry fills the freed slot and sifts from there.
+    std::vector<Member>& heap = group_.heap;
+    const auto slot = static_cast<std::size_t>(r->heap_slot);
+    SP_ASSERT(slot < heap.size() && heap[slot].request == r,
+              "decode-group member not in heap");
+    heap[slot] = heap.back();
+    heap.pop_back();
+    if (slot < heap.size())
+        sift(slot);
+    r->heap_slot = -1;
     r->synced_epoch = -1;
     return planned;
+}
+
+void
+Scheduler::sift(std::size_t slot)
+{
+    // Up while the entry precedes its parent, else down while a child
+    // precedes it; the entry and every one it passes land in new slots.
+    std::vector<Member>& heap = group_.heap;
+    const Member m = heap[slot];
+    const auto put = [&](std::size_t i, const Member& e) {
+        heap[i] = e;
+        e.request->heap_slot = static_cast<std::int32_t>(i);
+    };
+    while (slot > 0 && finishes_later(heap[(slot - 1) / 2], m)) {
+        put(slot, heap[(slot - 1) / 2]);
+        slot = (slot - 1) / 2;
+    }
+    for (std::size_t c = 2 * slot + 1; c < heap.size(); c = 2 * slot + 1) {
+        if (c + 1 < heap.size() && finishes_later(heap[c], heap[c + 1]))
+            ++c;
+        if (!finishes_later(m, heap[c]))
+            break;
+        put(slot, heap[c]);
+        slot = c;
+    }
+    put(slot, m);
 }
 
 const BatchPlan&
@@ -369,13 +398,8 @@ Scheduler::plan_group_step(std::size_t migrated_from, std::int64_t* budget)
     explicit_.clear();
     while (!group_.heap.empty() &&
            group_.heap.front().finish == group_.epoch + 1) {
-        std::pop_heap(group_.heap.begin(), group_.heap.end(),
-                      finishes_later);
-        Request* r = group_.heap.back().request;
-        group_.heap.pop_back();
-        sync(r);
-        leave(r, r->kv.num_tokens());
-        r->synced_epoch = -1;
+        Request* r = group_.heap.front().request;
+        drop_member(r);  // unplanned: gives back no tokens
         explicit_.push_back(r);
     }
     explicit_.insert(explicit_.end(),
@@ -722,7 +746,7 @@ Scheduler::join(Request* r)
                     /*is_prefill=*/false);
     const std::int64_t left = r->spec.output_tokens - r->decoded;
     group_.heap.push_back({group_.epoch + (left + k - 1) / k, r->admitted, r});
-    std::push_heap(group_.heap.begin(), group_.heap.end(), finishes_later);
+    sift(group_.heap.size() - 1);
 }
 
 void
@@ -739,6 +763,7 @@ Scheduler::dissolve()
     for (const Member& m : group_.heap) {
         sync(m.request);
         m.request->synced_epoch = -1;
+        m.request->heap_slot = -1;
     }
     group_.heap.clear();
     std::fill(group_.classes.begin(), group_.classes.end(), 0);
@@ -791,7 +816,7 @@ Scheduler::consistent() const
     };
     for (const Request* r : waiting_) {
         visit(r, 0);
-        ok = ok && r->state == RequestState::kWaiting;
+        ok = ok && r->state == RequestState::kWaiting && r->heap_slot == -1;
         prefilled += r->prefill_done();
     }
     for (std::size_t i = 0; i < running_.size(); ++i) {
@@ -799,7 +824,7 @@ Scheduler::consistent() const
         ok = ok && (i == 0 || running_[i - 1]->admitted < r->admitted);
         prefills += r->state == RequestState::kPrefill;
         if (!group_.complete || r->state != RequestState::kDecode) {
-            ok = ok && r->synced_epoch == -1;
+            ok = ok && r->synced_epoch == -1 && r->heap_slot == -1;
             visit(r, 0);
             continue;
         }
@@ -831,12 +856,14 @@ Scheduler::consistent() const
                    ? static_cast<std::ptrdiff_t>(lo)
                    : -1;
     };
-    // The heap holds each member once, due when its last tokens fall.
+    // The heap holds each member once, at its `heap_slot`, due when its
+    // last tokens fall.
     ok = ok && group_.heap.size() == members &&
          std::is_heap(group_.heap.begin(), group_.heap.end(),
                       finishes_later);
     scratch.assign(running_.size(), 0);  // members met in the heap
-    for (const Member& m : group_.heap) {
+    for (std::size_t slot = 0; slot < group_.heap.size(); ++slot) {
+        const Member& m = group_.heap[slot];
         const Request* r = m.request;
         const std::ptrdiff_t i = index(r);
         if (!ok || i < 0 || scratch[static_cast<std::size_t>(i)]++ > 0)
@@ -844,6 +871,7 @@ Scheduler::consistent() const
         const std::int64_t left = r->spec.output_tokens - r->decoded -
                                   k * (group_.epoch - r->synced_epoch);
         ok = r->state == RequestState::kDecode &&
+             r->heap_slot == static_cast<std::int32_t>(slot) &&
              m.admitted == r->admitted &&
              m.finish == group_.epoch + (left + k - 1) / k;
     }

@@ -219,9 +219,10 @@ class Scheduler
      * Debug oracle, O(n): recounts the waiting and running requests, the
      * decode group's members taken their lag ahead, and checks the
      * outstanding total, the deadline floor, the pool's used KV blocks,
-     * the group (size, residue classes, next-step sums, finish heap), the
-     * running-prefill list and the migrated-waiting count. Asserted after
-     * every completed step and terminal path in Debug builds.
+     * the group (size, residue classes, next-step sums, finish heap and
+     * every request's `heap_slot`), the running-prefill list and the
+     * migrated-waiting count. Asserted after every completed step and
+     * terminal path in Debug builds.
      */
     bool consistent() const;
 
@@ -259,7 +260,7 @@ class Scheduler
      * The decode group: every running request that is decoding (while
      * `complete`) advances k tokens per group step without being read.
      * A member's `decoded` and KV tokens lag k·(epoch − synced_epoch); a
-     * request that is not a member has `synced_epoch` −1.
+     * request that is not a member has `synced_epoch` and `heap_slot` −1.
      */
     struct DecodeGroup
     {
@@ -271,7 +272,8 @@ class Scheduler
         /** Members per (KV tokens − k·epoch) mod block size: constant
          *  while a member advances with the group. */
         std::vector<std::int64_t> classes;
-        /** Min-heap on (finish, admitted) over every member. */
+        /** Min-heap on (finish, admitted) over every member; each
+         *  member's `heap_slot` is its index. */
         std::vector<Member> heap;
     };
 
@@ -285,11 +287,16 @@ class Scheduler
      *  of the group (the caller removes its heap entry). */
     void leave(const Request* r, std::int64_t kv_tokens);
 
+    /** Move the heap entry at `slot` up or down to its place, writing
+     *  the `heap_slot` of every entry it moves. */
+    void sift(std::size_t slot);
+
     /**
-     * Take member `r` out of the group and its heap, its progress written
-     * back. A member this step's pass has planned also gives back its k
-     * tokens of plan work and `decoded`. @return those tokens (0 when it
-     * was not planned).
+     * Take member `r` out of the group and, in O(log D) through its
+     * `heap_slot`, out of its heap, its progress written back. A member
+     * this step's pass has planned also gives back its k tokens of plan
+     * work and `decoded`. @return those tokens (0 when it was not
+     * planned).
      */
     std::int64_t drop_member(Request* r);
 

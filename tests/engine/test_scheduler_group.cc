@@ -1,12 +1,15 @@
 /** @file The decode group: a scheduler that advances its decoders as one
  *  group stays step-for-step identical to one whose group is dissolved
- *  before every step (so every decoder is planned explicitly), and the
- *  Debug oracle catches a corrupted group. */
+ *  before every step (so every decoder is planned explicitly), its
+ *  slot-indexed finish heap pops in (finish, admitted) order through
+ *  random joins and removals, and the Debug oracle catches a corrupted
+ *  group. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +64,34 @@ struct SchedulerTestPeer
     }
 
     static parallel::BatchWork& work(Scheduler& s) { return s.group_.work; }
+
+    /** Add synced decoder `r` to the group and its finish heap. */
+    static void join(Scheduler& s, Request* r) { s.join(r); }
+
+    /** Take member `r` out of the group through its heap slot. */
+    static void drop(Scheduler& s, Request* r) { s.drop_member(r); }
+
+    /** Pop the heap's front member as a group step pops a finisher.
+     *  @return its heap entry. */
+    static Scheduler::Member
+    pop(Scheduler& s)
+    {
+        const Scheduler::Member front = s.group_.heap.front();
+        s.drop_member(front.request);
+        return front;
+    }
+
+    /** @return true when every heap entry's request points at its slot. */
+    static bool
+    slots_current(const Scheduler& s)
+    {
+        for (std::size_t i = 0; i < s.group_.heap.size(); ++i) {
+            if (s.group_.heap[i].request->heap_slot !=
+                static_cast<std::int32_t>(i))
+                return false;
+        }
+        return true;
+    }
 };
 
 namespace {
@@ -348,6 +379,67 @@ TEST(DecodeGroup, FallsBackWhenKTokensEachOverrunTheBudget)
     EXPECT_TRUE(SchedulerTestPeer::budget_fallback(s));
 }
 
+TEST(DecodeGroup, IndexedHeapPopsInOrderThroughRandomJoinsAndRemovals)
+{
+    // With k = 1 at epoch 0 a member is due at epoch `output_tokens`, so
+    // four finish epochs over up to hundreds of members leave the shuffled
+    // admission stamps to break most ties. Members join, leave through
+    // their slots and pop as finishers at random; every pop must be the
+    // least (finish, admitted) left, and every slot must stay current.
+    kvcache::CacheManager cache(
+        4096, kvcache::KvLayout::base(model::llama_70b(), {1, 8}), 16);
+    Scheduler s({}, &cache);
+    Rng rng(2026);
+    constexpr std::int64_t kRequests = 3000;
+    std::vector<Request> requests(kRequests);
+    for (std::int64_t i = 0; i < kRequests; ++i) {
+        Request& r = requests[static_cast<std::size_t>(i)];
+        r.id = i;
+        r.admitted = i;
+        r.state = RequestState::kDecode;
+        r.spec.output_tokens = rng.uniform_int(1, 4);
+    }
+    for (std::int64_t i = kRequests - 1; i > 0; --i) {
+        std::swap(requests[static_cast<std::size_t>(i)].admitted,
+                  requests[static_cast<std::size_t>(
+                               rng.uniform_int(0, i))].admitted);
+    }
+    std::set<std::pair<std::int64_t, std::int64_t>> reference;
+    std::vector<Request*> members;
+    std::size_t joined = 0;
+    std::int64_t drops = 0, pops = 0;
+    while (joined < requests.size() || !members.empty()) {
+        const std::int64_t op = rng.uniform_int(0, 4);
+        if (joined < requests.size() && (op < 3 || members.empty())) {
+            Request* r = &requests[joined++];
+            SchedulerTestPeer::join(s, r);
+            reference.emplace(r->spec.output_tokens, r->admitted);
+            members.push_back(r);
+        } else if (op == 3) {
+            const auto i = static_cast<std::size_t>(
+                rng.uniform_int(0, std::ssize(members) - 1));
+            Request* r = members[i];
+            SchedulerTestPeer::drop(s, r);
+            ASSERT_EQ(r->heap_slot, -1);
+            reference.erase({r->spec.output_tokens, r->admitted});
+            members[i] = members.back();
+            members.pop_back();
+            ++drops;
+        } else {
+            const auto m = SchedulerTestPeer::pop(s);
+            ASSERT_EQ(std::pair(m.finish, m.admitted), *reference.begin());
+            ASSERT_EQ(m.request->heap_slot, -1);
+            reference.erase(reference.begin());
+            std::erase(members, m.request);
+            ++pops;
+        }
+        ASSERT_EQ(members.size(), reference.size());
+        ASSERT_TRUE(SchedulerTestPeer::slots_current(s));
+    }
+    EXPECT_GT(drops, 500);
+    EXPECT_GT(pops, 500);
+}
+
 #ifndef NDEBUG
 
 // The oracle is an SP_DEBUG_ASSERT, compiled out under NDEBUG, so these
@@ -396,6 +488,18 @@ TEST(DecodeGroupDeathTest, OracleCatchesACorruptedDecodeSum)
     TwoMembers g;
     ASSERT_TRUE(g.s.consistent());
     SchedulerTestPeer::work(g.s).decodes.pairs += 1;
+    EXPECT_FALSE(g.s.consistent());
+    EXPECT_DEATH(g.s.on_step_complete(0.3, g.s.schedule(0.2), &g.finished),
+                 "decode group drifted");
+}
+
+TEST(DecodeGroupDeathTest, OracleCatchesACorruptedHeapSlot)
+{
+    TwoMembers g;
+    ASSERT_TRUE(g.s.consistent());
+    Request& r = *g.requests[0];
+    ASSERT_GE(r.heap_slot, 0);
+    r.heap_slot = 1 - r.heap_slot;  // the other member's slot
     EXPECT_FALSE(g.s.consistent());
     EXPECT_DEATH(g.s.on_step_complete(0.3, g.s.schedule(0.2), &g.finished),
                  "decode group drifted");
