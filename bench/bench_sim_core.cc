@@ -179,7 +179,7 @@ measure(const Config& cfg)
 std::int64_t
 require_int(const util::JsonValue& v, const std::string& key)
 {
-    return static_cast<std::int64_t>(v.at(key).num());
+    return v.at(key).integer();
 }
 
 /**
@@ -197,39 +197,40 @@ load_entries(const std::string& path, const std::string& skip_label)
     std::ostringstream buf;
     buf << is.rdbuf();
 
-    util::JsonValue root;
+    // Malformed JSON, a missing key, a value of the wrong type or a count
+    // that is not an integer all throw; any of them is fatal.
     try {
-        root = util::parse_json(buf.str());
-    } catch (const std::exception& e) {
-        fatal("cannot parse existing trajectory '" + path +
-              "': " + e.what());
-    }
-    if (!root.is_object() || !root.has("schema") ||
-        root.at("schema").str() != kSchema ||
-        static_cast<int>(root.at("version").num()) != kSchemaVersion) {
-        fatal("'" + path + "' is not a " + kSchema + " v" +
-              std::to_string(kSchemaVersion) + " trajectory file");
-    }
-    for (const util::JsonValue& e : root.at("entries").arr()) {
-        Entry entry;
-        entry.label = e.at("label").str();
-        if (entry.label == skip_label)
-            continue;
-        for (const util::JsonValue& c : e.at("configs").arr()) {
-            Sample s;
-            s.engines = require_int(c, "engines");
-            s.requests = require_int(c, "requests");
-            s.events_fired = require_int(c, "events_fired");
-            s.component_advances = require_int(c, "component_advances");
-            s.wall_s = c.at("wall_s").num();
-            s.events_per_sec = c.at("events_per_sec").num();
-            s.peak_rss_bytes = require_int(c, "peak_rss_bytes");
-            s.queue_high_water = require_int(c, "queue_high_water");
-            s.heap_pushes = require_int(c, "heap_pushes");
-            s.heap_pops = require_int(c, "heap_pops");
-            entry.samples.push_back(s);
+        const util::JsonValue root = util::parse_json(buf.str());
+        if (!root.is_object() || !root.has("schema") ||
+            root.at("schema").str() != kSchema ||
+            root.at("version").integer<int>() != kSchemaVersion) {
+            fatal("'" + path + "' is not a " + kSchema + " v" +
+                  std::to_string(kSchemaVersion) + " trajectory file");
         }
-        entries.push_back(std::move(entry));
+        for (const util::JsonValue& e : root.at("entries").arr()) {
+            Entry entry;
+            entry.label = e.at("label").str();
+            if (entry.label == skip_label)
+                continue;
+            for (const util::JsonValue& c : e.at("configs").arr()) {
+                Sample s;
+                s.engines = require_int(c, "engines");
+                s.requests = require_int(c, "requests");
+                s.events_fired = require_int(c, "events_fired");
+                s.component_advances = require_int(c, "component_advances");
+                s.wall_s = c.at("wall_s").num();
+                s.events_per_sec = c.at("events_per_sec").num();
+                s.peak_rss_bytes = require_int(c, "peak_rss_bytes");
+                s.queue_high_water = require_int(c, "queue_high_water");
+                s.heap_pushes = require_int(c, "heap_pushes");
+                s.heap_pops = require_int(c, "heap_pops");
+                entry.samples.push_back(s);
+            }
+            entries.push_back(std::move(entry));
+        }
+    } catch (const std::exception& e) {
+        fatal("cannot read existing trajectory '" + path +
+              "': " + e.what());
     }
     return entries;
 }

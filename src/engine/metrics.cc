@@ -32,11 +32,6 @@ void
 Metrics::add_record(const RequestRecord& rec)
 {
     requests_.push_back(rec);
-    ttft_.add(rec.ttft);
-    if (rec.output_tokens > 1)
-        tpot_.add(rec.tpot);
-    completion_.add(rec.completion);
-    wait_.add(rec.wait);
 }
 
 void
@@ -57,12 +52,12 @@ Metrics::on_step(const obs::StepEvent& step)
 void
 Metrics::merge(const Metrics& other)
 {
-    // merge_steps rejects a self-merge before the request loop could grow
-    // the vector it walks. Requests replay through add_record so the
-    // histograms match direct accumulation.
+    // merge_steps rejects a self-merge before the insert could read the
+    // vector it grows. The records append in order, so the distributions
+    // built from them match direct accumulation sample for sample.
     merge_steps(other);
-    for (const auto& rec : other.requests_)
-        add_record(rec);
+    requests_.insert(requests_.end(), other.requests_.begin(),
+                     other.requests_.end());
 }
 
 void
@@ -78,6 +73,41 @@ Metrics::merge_steps(const Metrics& other)
     sp_steps_ += other.sp_steps_;
     tp_steps_ += other.tp_steps_;
     end_time_ = std::max(end_time_, other.end_time_);
+}
+
+util::Histogram
+Metrics::distribution(double RequestRecord::*field,
+                      bool multi_token_only) const
+{
+    util::Histogram h;
+    for (const auto& r : requests_)
+        if (!multi_token_only || r.output_tokens > 1)
+            h.add(r.*field);
+    return h;
+}
+
+util::Histogram
+Metrics::ttft() const
+{
+    return distribution(&RequestRecord::ttft);
+}
+
+util::Histogram
+Metrics::tpot() const
+{
+    return distribution(&RequestRecord::tpot, true);
+}
+
+util::Histogram
+Metrics::completion() const
+{
+    return distribution(&RequestRecord::completion);
+}
+
+util::Histogram
+Metrics::wait() const
+{
+    return distribution(&RequestRecord::wait);
 }
 
 double

@@ -6,9 +6,12 @@
  * deployments. Everything the paper reports is derived here: TTFT / TPOT /
  * completion distributions (Figs. 9-11), time-binned combined throughput
  * and its peak (Table 5, Fig. 7), and cost-component totals (Fig. 15).
- * Steps are folded into those totals as they are recorded and never kept,
- * so a `Metrics` is O(requests + throughput bins); a caller that needs the
- * step sequence subscribes to the engine's `obs::StepEvent`s instead.
+ * Each finished request is kept once, as a `RequestRecord`; the latency
+ * distributions are built from those records when asked for. Steps are
+ * folded into the throughput and cost totals as they are recorded and
+ * never kept, so a `Metrics` is O(requests + throughput bins); a caller
+ * that needs the step sequence subscribes to the engine's
+ * `obs::StepEvent`s instead.
  */
 
 #pragma once
@@ -76,20 +79,21 @@ class Metrics
     const std::vector<RequestRecord>& requests() const { return requests_; }
 
     /**
-     * TTFT distribution, seconds. Latency distributions are streaming
-     * log-bucketed histograms: constant memory per engine with quantiles
-     * exact to within 0.5% relative error (moments are exact).
+     * TTFT distribution, seconds. Each latency distribution is a
+     * log-bucketed histogram built from `requests()` in record order on
+     * every call: quantiles exact to within 0.5% relative error, moments
+     * exact. Callers that query one many times should keep the result.
      */
-    const util::Histogram& ttft() const { return ttft_; }
+    util::Histogram ttft() const;
 
-    /** TPOT distribution, seconds. */
-    const util::Histogram& tpot() const { return tpot_; }
+    /** TPOT distribution, seconds; single-token requests have none. */
+    util::Histogram tpot() const;
 
     /** Completion-time distribution, seconds. */
-    const util::Histogram& completion() const { return completion_; }
+    util::Histogram completion() const;
 
     /** Queueing-delay distribution, seconds. */
-    const util::Histogram& wait() const { return wait_; }
+    util::Histogram wait() const;
 
     /** Combined (prompt+output) token throughput timeline, tokens/s. */
     const TimeSeries& throughput() const { return throughput_; }
@@ -128,11 +132,12 @@ class Metrics
     std::int64_t tp_steps() const { return tp_steps_; }
 
   private:
+    /** Histogram of one record field over `requests_`, in record order;
+     *  with `multi_token_only`, records of one output token are skipped. */
+    util::Histogram distribution(double RequestRecord::*field,
+                                 bool multi_token_only = false) const;
+
     std::vector<RequestRecord> requests_;
-    util::Histogram ttft_;
-    util::Histogram tpot_;
-    util::Histogram completion_;
-    util::Histogram wait_;
     TimeSeries throughput_;
     parallel::StepTiming component_totals_;
     std::int64_t total_tokens_ = 0;

@@ -16,7 +16,6 @@ Request::reset_for_recompute()
     // Prefix-cache state is re-established at the next admission (the
     // entry itself survives in the cache and shortens the recompute).
     prefix_attached = false;
-    prefix_hit = 0;
     prefix_filled = 0;
     filling_prefix = false;
 }

@@ -118,9 +118,6 @@ struct Request
      */
     bool migrated_in = false;
 
-    /** Prompt tokens served from the prefix cache on (re-)admission. */
-    std::int64_t prefix_hit = 0;
-
     /**
      * True once this request's prefix hit has been counted in the cache's
      * hit statistics. Unlike the other prefix fields this survives
@@ -135,8 +132,9 @@ struct Request
     /**
      * The request's index in the decode group's finish heap, or -1 while
      * it is not a group member; removing a member costs O(log D) through
-     * it. It sits in the padding after the bools above: 8 more bytes per
-     * `Request` cost about 2 MB of peak RSS on the overload_dp8 replay.
+     * it. It sits in padding before `prefix_filled` (4 bytes of it stay
+     * free): 8 more bytes per `Request` cost about 2 MB of peak RSS on the
+     * overload_dp8 replay.
      */
     std::int32_t heap_slot = -1;
 

@@ -601,7 +601,6 @@ Scheduler::attach_prefix_if_needed(Request* r)
     outstanding_ += r->prefilled - attach.hit_tokens;
     r->prefix_hit_counted = true;
     r->prefix_attached = true;
-    r->prefix_hit = attach.hit_tokens;
     r->prefix_filled = attach.hit_tokens;
     r->filling_prefix = attach.is_filler;
     r->prefilled = attach.hit_tokens;

@@ -6,9 +6,9 @@
  * buckets whose width is a fixed relative fraction of their value, so any
  * quantile query is answered within `relative_error` of the exact order
  * statistic while memory stays O(log(max/min)) regardless of sample count.
- * Replaces the store-every-sample `Summary` on the engine metrics hot path
- * (TTFT / TPOT / completion / wait distributions), where million-request
- * runs made per-sample storage the dominant metrics cost.
+ * `engine::Metrics` builds its TTFT / TPOT / completion / wait
+ * distributions with it from the stored request records when a report asks
+ * for them; the metrics registry keeps live ones for its histogram series.
  *
  * Moments (count/sum/mean/min/max/stddev) are tracked exactly; only
  * interior percentiles are approximate. The default 0.5% relative error is

@@ -14,9 +14,13 @@
 
 #pragma once
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -44,6 +48,24 @@ struct JsonValue
     const std::string& str() const { return std::get<std::string>(v); }
     double num() const { return std::get<double>(v); }
     bool boolean() const { return std::get<bool>(v); }
+
+    /**
+     * @return the number as an `Int`; throws std::runtime_error unless it
+     *         is integral and within `Int`'s range (a bare cast of such a
+     *         double is undefined behaviour).
+     */
+    template <typename Int = std::int64_t>
+    Int
+    integer() const
+    {
+        static_assert(std::is_integral_v<Int> && std::is_signed_v<Int>);
+        // -min() is 2^(bits-1): exact as a double, unlike max().
+        const double lo = static_cast<double>(std::numeric_limits<Int>::min());
+        const double d = num();
+        if (!(d >= lo && d < -lo) || std::trunc(d) != d)
+            throw std::runtime_error("JSON number is not an integer in range");
+        return static_cast<Int>(d);
+    }
 
     bool has(const std::string& k) const
     {

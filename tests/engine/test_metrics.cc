@@ -1,9 +1,12 @@
 /**
  * @file
  * Metrics edge cases: merge with empty operands, self-merge, merge
- * equivalence with direct accumulation, mismatched bin widths, and
- * zero-duration throughput / goodput queries.
+ * equivalence with direct accumulation, mismatched bin widths,
+ * zero-duration throughput / goodput queries, and the latency
+ * distributions built from the request records.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -29,6 +32,38 @@ record(engine::RequestId id, double ttft, double tpot)
     rec.completion = ttft + tpot * 19;
     rec.wait = ttft / 2;
     return rec;
+}
+
+/** Expect `got` to match `want` in count, moments and quantiles, exactly. */
+void
+expect_same(const util::Histogram& got, const util::Histogram& want)
+{
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.sum(), want.sum());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    for (const double p : {50.0, 90.0, 99.0})
+        EXPECT_EQ(got.percentile(p), want.percentile(p)) << "p" << p;
+}
+
+/** Expect each distribution of `m` to equal one built by hand from
+ *  `records` in order, TPOT skipping single-token records. */
+void
+expect_distributions(const Metrics& m,
+                     const std::vector<RequestRecord>& records)
+{
+    util::Histogram ttft, tpot, completion, wait;
+    for (const RequestRecord& r : records) {
+        ttft.add(r.ttft);
+        if (r.output_tokens > 1)
+            tpot.add(r.tpot);
+        completion.add(r.completion);
+        wait.add(r.wait);
+    }
+    expect_same(m.ttft(), ttft);
+    expect_same(m.tpot(), tpot);
+    expect_same(m.completion(), completion);
+    expect_same(m.wait(), wait);
 }
 
 obs::StepEvent
@@ -175,4 +210,26 @@ TEST(Metrics, GoodputCountsOnlySloSatisfyingTokens)
     EXPECT_DOUBLE_EQ(m.slo_attainment(slo), 0.5);
     // Only request 0's 120 tokens count, over the 10 s makespan.
     EXPECT_DOUBLE_EQ(m.goodput(slo), 12.0);
+}
+
+TEST(Metrics, DistributionsFollowRecordsAndSkipSingleTokenTpot)
+{
+    Metrics a(1.0), b(1.0);
+    for (int i = 0; i < 12; ++i)
+        ((i % 3 == 0) ? b : a)
+            .add_record(record(i, 0.03 * (i + 1), 0.004 * (12 - i)));
+    RequestRecord lone = record(12, 0.5, 9.0);  // a TPOT no one observed
+    lone.output_tokens = 1;
+    a.add_record(lone);
+
+    expect_distributions(a, a.requests());
+    expect_distributions(b, b.requests());
+    EXPECT_EQ(a.tpot().count(), a.requests().size() - 1);
+    EXPECT_LT(a.tpot().max(), 9.0);
+
+    std::vector<RequestRecord> both = a.requests();
+    both.insert(both.end(), b.requests().begin(), b.requests().end());
+    a.merge(b);
+    EXPECT_EQ(a.requests().size(), both.size());
+    expect_distributions(a, both);
 }

@@ -399,7 +399,8 @@ TEST(SchedulerTotals, OutstandingFollowsPrefixHitChunksDecodeAndFinish)
     EXPECT_EQ(l.sched.outstanding_tokens(), 105);
     // Admission attaches b to the filled prefix: 64 tokens are a hit.
     const BatchPlan plan = l.sched.schedule(0.3);
-    EXPECT_EQ(b->prefix_hit, 64);
+    EXPECT_EQ(l.cache.prefix_hit_tokens(), 64);
+    EXPECT_EQ(b->prefix_filled, 64);
     EXPECT_EQ(l.sched.outstanding_tokens(), 2 + 36 + 3);
     EXPECT_EQ(l.sched.outstanding_tokens(), l.owed());
     std::vector<Request*> fin;

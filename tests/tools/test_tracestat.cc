@@ -93,6 +93,25 @@ TEST(TracestatAnalyze, RejectsNonTraceDocuments)
             "{\"ph\":\"b\",\"pid\":1,\"tid\":0,\"ts\":0,\"name\":\"req\","
             "\"cat\":\"request\",\"id\":\"nocolon\"}"))),
         std::runtime_error);
+    // Numbers that no integer field can hold: an out-of-range pid, token
+    // count and engine index each throw instead of being cast.
+    EXPECT_THROW(
+        tools::analyze_trace(util::parse_json(wrap_trace(
+            "{\"ph\":\"i\",\"pid\":1e300,\"tid\":1,\"ts\":0,"
+            "\"name\":\"shift\",\"cat\":\"mode\"}"))),
+        std::runtime_error);
+    EXPECT_THROW(
+        tools::analyze_trace(util::parse_json(wrap_trace(
+            "{\"ph\":\"b\",\"pid\":1,\"tid\":0,\"ts\":0,\"name\":\"req\","
+            "\"cat\":\"request\",\"id\":\"1:0\","
+            "\"args\":{\"prompt_tokens\":1e30}}"))),
+        std::runtime_error);
+    EXPECT_THROW(
+        tools::analyze_trace(util::parse_json(wrap_trace(
+            "{\"ph\":\"n\",\"pid\":1,\"tid\":0,\"ts\":0,\"s\":\"t\","
+            "\"name\":\"first_token\",\"cat\":\"request\",\"id\":\"1:0\","
+            "\"args\":{\"engine\":1e10}}"))),
+        std::runtime_error);
 }
 
 TEST(TracestatAnalyze, StageBoundariesAndOutcomes)

@@ -1,10 +1,12 @@
 /**
  * @file
  * util::JsonWriter — escaping, number formatting, and structural
- * correctness checked by re-parsing everything it emits.
+ * correctness checked by re-parsing everything it emits — and the parsed
+ * value's checked integer accessor.
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -145,4 +147,21 @@ TEST(JsonWriter, TopLevelScalar)
     w.value("hello");
     EXPECT_TRUE(w.complete());
     EXPECT_EQ(parse_json(os.str()).str(), "hello");
+}
+
+TEST(JsonValue, IntegerAcceptsOnlyIntegralNumbersInRange)
+{
+    EXPECT_EQ(parse_json("42").integer(), 42);
+    EXPECT_EQ(parse_json("-7").integer<int>(), -7);
+    EXPECT_EQ(parse_json("2147483647").integer<int>(), 2147483647);
+    EXPECT_EQ(parse_json("-2147483648").integer<int>(),
+              std::numeric_limits<int>::min());
+    EXPECT_EQ(parse_json("-9223372036854775808").integer(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_THROW(parse_json("2147483648").integer<int>(), std::runtime_error);
+    EXPECT_THROW(parse_json("9223372036854775808").integer(),
+                 std::runtime_error);
+    EXPECT_THROW(parse_json("1e300").integer(), std::runtime_error);
+    EXPECT_THROW(parse_json("-1e30").integer(), std::runtime_error);
+    EXPECT_THROW(parse_json("1.5").integer(), std::runtime_error);
 }

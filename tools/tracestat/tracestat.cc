@@ -28,16 +28,16 @@ seconds(const util::JsonValue& ev)
     return ev.at("ts").num() / 1e6;
 }
 
-std::int64_t
-arg_int(const util::JsonValue& ev, const std::string& key,
-        std::int64_t fallback)
+template <typename Int>
+Int
+arg_int(const util::JsonValue& ev, const std::string& key, Int fallback)
 {
     if (!ev.has("args"))
         return fallback;
     const util::JsonValue& args = ev.at("args");
     if (!args.has(key))
         return fallback;
-    return static_cast<std::int64_t>(args.at(key).num());
+    return args.at(key).integer<Int>();
 }
 
 bool
@@ -187,7 +187,7 @@ analyze_trace(const util::JsonValue& root)
             ModeFlip flip;
             flip.t = seconds(ev);
             flip.to_shift = ev.at("name").str() == "shift";
-            mode_flips[static_cast<int>(ev.at("pid").num())].push_back(flip);
+            mode_flips[ev.at("pid").integer<int>()].push_back(flip);
             continue;
         }
         if (cat != "request")
@@ -223,8 +223,7 @@ analyze_trace(const util::JsonValue& root)
             } else if (name == "first_token") {
                 if (r.first_token < 0.0) {
                     r.first_token = t;
-                    r.engine =
-                        static_cast<int>(arg_int(ev, "engine", r.engine));
+                    r.engine = arg_int(ev, "engine", r.engine);
                 }
             } else if (name == "prefill_chunk") {
                 ++r.prefill_chunks;
