@@ -182,10 +182,10 @@ Engine::fail(double t)
 
     auto out = hand_back(scheduler_.fail_all());
 
-    // HBM dies with the rank group: idle prefix entries (live ones were
-    // just unpinned by the drop) are destroyed too, so a recovered engine
+    // HBM dies with the rank group: every prefix entry (the drop just
+    // unpinned the live ones) is destroyed too, so a recovered engine
     // restarts cold.
-    cache_.evict_idle_prefixes(std::numeric_limits<std::int64_t>::max());
+    cache_.drop_unpinned_prefixes();
     SP_ASSERT(cache_.used_blocks() == 0 && cache_.prefix_entry_count() == 0,
               "failed engine still holds KV state");
 

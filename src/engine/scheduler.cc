@@ -24,6 +24,18 @@ constexpr auto finishes_later = [](const auto& a, const auto& b) {
                                 : a.admitted > b.admitted;
 };
 
+/** @return the first position in `running` (admission order) admitted
+ *  no earlier than `r`: `r`'s own while it is running. */
+template <typename Running>
+auto
+find_admitted(Running& running, const Request* r)
+{
+    return std::lower_bound(running.begin(), running.end(), r->admitted,
+                            [](const Request* a, std::int64_t stamp) {
+                                return a->admitted < stamp;
+                            });
+}
+
 } // namespace
 
 std::int64_t
@@ -292,9 +304,8 @@ Scheduler::schedule(double now)
                 // tokens so the freed budget stays spendable this step.
                 budget += retracted;
                 // Preemption may have removed requests before the cursor.
-                const auto pos =
-                    std::find(running_.begin(), running_.end(), r);
-                i = static_cast<std::size_t>(pos - running_.begin());
+                i = static_cast<std::size_t>(find_admitted(running_, r) -
+                                             running_.begin());
             }
             if (member) {
                 // Its progress is written now, so it is synced to the
@@ -334,6 +345,7 @@ Scheduler::schedule(double now)
     // Admission stops for good once it is blocked or running_ is full;
     // the remaining running prefills are still served.
     bool admitting = true;
+    bool kv_blocked = false;  // a prefill got no chunk for want of KV
     while (budget > 0) {
         while (admitting && w != waiting_.end() &&
                ((*w)->spec.arrival > now || (*w)->prefill_done()))
@@ -341,7 +353,9 @@ Scheduler::schedule(double now)
         admitting = admitting && w != waiting_.end();
         if (next != prefilling_.end() &&
             (!admitting || (*next)->spec.priority >= (*w)->spec.priority)) {
-            budget -= schedule_prefill(*next++, budget);
+            const std::int64_t scheduled = schedule_prefill(*next++, budget);
+            kv_blocked = kv_blocked || scheduled == 0;
+            budget -= scheduled;
             continue;
         }
         if (!admitting)
@@ -358,6 +372,7 @@ Scheduler::schedule(double now)
             // Keep intra-class FCFS: later (same or lower class) waiting
             // requests must not jump a blocked one.
             admitting = false;
+            kv_blocked = true;
             continue;
         }
         w = erase_waiting(w);
@@ -379,6 +394,12 @@ Scheduler::schedule(double now)
     // the oldest prefill can finish (recompute preemption, vLLM-style).
     // An empty plan has no decoder, so the victim is a prefill.
     if (plan_.empty() && running_.size() > 1 && preempt_one(nullptr) >= 0)
+        return schedule(now);
+    // A prefill chunk is capped at the free blocks, which leave out idle
+    // prefix entries: once those fill the pool, evict the least recently
+    // used one and retry, or no step would ever free a block.
+    if (plan_.empty() && kv_blocked &&
+        cache_->evict_idle_prefixes(cache_->free_blocks() + 1))
         return schedule(now);
 
     return plan_;
@@ -423,11 +444,14 @@ Scheduler::plan_group_step(std::size_t migrated_from, std::int64_t* budget)
         path_ = Path::kBudget;
         return false;
     }
-    if (!cache_->try_charge(blocks)) {
+    if (cache_->try_charge(blocks)) {
+        path_ = Path::kGroup;
+    } else if (make_room(blocks) && cache_->try_charge(blocks)) {
+        path_ = Path::kRoomMade;
+    } else {
         path_ = Path::kShortage;
         return false;
     }
-    path_ = Path::kGroup;
     plan_.work_ = group_.work;
     for (Request* r : explicit_) {
         const std::int64_t n =
@@ -436,6 +460,33 @@ Scheduler::plan_group_step(std::size_t migrated_from, std::int64_t* budget)
         cache_->credit(r->kv, n);
     }
     *budget -= tokens;
+    return true;
+}
+
+bool
+Scheduler::make_room(std::int64_t blocks)
+{
+    // With k <= block size each decoder appends into at most one new
+    // block, and the walk meets each failed append by evicting idle
+    // prefixes until two blocks are free, then preempting the youngest
+    // running request other than the failing decoder. While that victim
+    // is a prefill, it is `running_.back()` whichever decoder failed, so
+    // the walk's evictions and preemptions depend only on the blocks its
+    // earlier decoders took (`used`): they can run before any append.
+    if (opts_.decode_tokens_per_step > cache_->block_size())
+        return false;
+    for (std::int64_t used = 0; used < blocks; ++used) {
+        while (cache_->free_blocks() - used < 1) {
+            cache_->evict_idle_prefixes(used + 2);
+            if (cache_->free_blocks() - used >= 1)
+                break;
+            // A decoder victim: the walk, rerun from here, repeats every
+            // action taken so far and then picks that victim itself.
+            if (running_.back()->state != RequestState::kPrefill)
+                return false;
+            preempt_one(nullptr);
+        }
+    }
     return true;
 }
 
@@ -452,8 +503,9 @@ Scheduler::cancel(Request* r)
         SP_ASSERT(it != waiting_.end(), "waiting request not in queue");
         erase_waiting(it);
     } else {
-        const auto it = std::find(running_.begin(), running_.end(), r);
-        SP_ASSERT(it != running_.end(), "running request not in queue");
+        const auto it = find_admitted(running_, r);
+        SP_ASSERT(it != running_.end() && *it == r,
+                  "running request not in queue");
         unlink_running(r);
         running_.erase(it);
     }
@@ -702,14 +754,24 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
         });
         group_.complete = true;
     } else if (finished->size() > finished_before) {
-        // Drop the finished by address: the pass reads no other request.
+        // Drop the finished by admission stamp: both lists in admission
+        // order, one pass compacts the tail from the first finisher on.
         leaving_.assign(finished->begin() +
                             static_cast<std::ptrdiff_t>(finished_before),
                         finished->end());
-        std::sort(leaving_.begin(), leaving_.end());
-        std::erase_if(running_, [this](const Request* r) {
-            return std::binary_search(leaving_.begin(), leaving_.end(), r);
-        });
+        std::sort(leaving_.begin(), leaving_.end(),
+                  [](const Request* a, const Request* b) {
+                      return a->admitted < b->admitted;
+                  });
+        auto out = find_admitted(running_, leaving_.front());
+        auto next = leaving_.cbegin();
+        for (auto in = out; in != running_.end(); ++in) {
+            if (next != leaving_.cend() && *in == *next)
+                ++next;
+            else
+                *out++ = *in;
+        }
+        running_.erase(out, running_.end());
     }
     SP_DEBUG_ASSERT(consistent(), "decode group drifted from its members");
 }
@@ -841,19 +903,10 @@ Scheduler::consistent() const
          prefilled == waiting_prefilled_ && owed == outstanding_;
 
     // `r`'s index in the admission-ordered running set, or -1 when it is
-    // not running (hand-written: the oracle runs on every Debug step).
+    // not running.
     const auto index = [&](const Request* r) -> std::ptrdiff_t {
-        std::size_t lo = 0, hi = running_.size();
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (running_[mid]->admitted < r->admitted)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo < running_.size() && running_[lo] == r
-                   ? static_cast<std::ptrdiff_t>(lo)
-                   : -1;
+        const auto it = find_admitted(running_, r);
+        return it != running_.end() && *it == r ? it - running_.begin() : -1;
     };
     // The heap holds each member once, at its `heap_slot`, due when its
     // last tokens fall.

@@ -119,10 +119,12 @@ class Scheduler
      * Assemble the next iteration's batch, acquiring KV blocks as needed.
      *
      * The decode group's members are planned implicitly when the step
-     * needs no preemption, no prefix eviction and no budget clip for its
-     * decoders. Otherwise (the fallback) every decoder is planned in
-     * admission order, preempting on shortage; the members stay in the
-     * group unless the budget clips the pass, which dissolves it first.
+     * needs no budget clip for its decoders and their blocks fit, after
+     * idle prefix evictions and preemptions of prefills at the back of
+     * the running set if need be. Otherwise (the fallback) every decoder
+     * is planned in admission order, preempting on shortage; the members
+     * stay in the group unless the budget clips the pass, which
+     * dissolves it first.
      * Either way the plan and its sums are those of the full pass.
      *
      * @param now Current engine time (stamps first_scheduled).
@@ -244,8 +246,10 @@ class Scheduler
         kGroup,      ///< group step: members planned implicitly
         kDissolved,  ///< fallback: the group had been dissolved
         kBudget,     ///< fallback: decode tokens overrun the budget
+        kRoomMade,   ///< group step after `make_room`
         kShortage,   ///< fallback: decode blocks exceed the free blocks
-                     ///< (members stay in the group)
+                     ///< and `make_room` bailed out (members stay in the
+                     ///< group)
     };
 
     /** One decode-group member in the finish heap. */
@@ -319,6 +323,12 @@ class Scheduler
      * or their blocks do not fit the free blocks.
      */
     bool plan_group_step(std::size_t migrated_from, std::int64_t* budget);
+
+    /** Free `blocks` for a group step by taking the decode walk's
+     *  evictions and preemptions up front. @return false when k > block
+     *  size or a decoder would be the victim; what it did by then is
+     *  the walk's own first actions. */
+    bool make_room(std::int64_t blocks);
 
     /** Stamp `r` and append it to the running set as `state`. */
     void admit(Request* r, RequestState state, double now);
@@ -399,7 +409,8 @@ class Scheduler
     DecodeGroup group_;
     Path path_ = Path::kGroup;
     /** This step's finishing members (then migrated-in decoders), and
-     *  the requests a step finished (by address); reused buffers. */
+     *  the requests a step finished (by admission stamp); reused
+     *  buffers. */
     std::vector<Request*> explicit_, leaving_;
     /** `consistent()`'s recount buffer, reused so a Debug step allocates
      *  no more than a Release one. */

@@ -1,6 +1,8 @@
 #include "kvcache/cache_manager.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -87,6 +89,7 @@ CacheManager::try_append_prefix(PrefixKey key, std::int64_t tokens)
         entry.last_use = ++lru_clock_;
         if (entry.blocks.num_tokens() >= entry.target)
             entry.filling = false;
+        note_idle(key, entry);
     }
     return ok;
 }
@@ -102,6 +105,31 @@ CacheManager::detach_prefix(PrefixKey key)
     // A departing filler may leave the entry short; a later attach will
     // resume filling it.
     it->second.filling = false;
+    note_idle(key, it->second);
+}
+
+void
+CacheManager::note_idle(PrefixKey key, const PrefixEntry& entry)
+{
+    if (entry.refs != 0 || entry.blocks.num_blocks() == 0)
+        return;
+    // Each entry has at most one live record, so once the stale ones
+    // outnumber the entries, drop them all: amortized O(1) per push.
+    if (idle_.size() >= 2 * prefixes_.size() + 16) {
+        std::erase_if(idle_, [this](const IdleRecord& r) { return !live(r); });
+        std::make_heap(idle_.begin(), idle_.end(), std::greater<>{});
+    }
+    idle_.emplace_back(entry.last_use, key);
+    std::push_heap(idle_.begin(), idle_.end(), std::greater<>{});
+}
+
+bool
+CacheManager::live(const IdleRecord& rec) const
+{
+    const auto it = prefixes_.find(rec.second);
+    return it != prefixes_.end() && it->second.refs == 0 &&
+           it->second.blocks.num_blocks() > 0 &&
+           it->second.last_use == rec.first;
 }
 
 std::int64_t
@@ -114,35 +142,35 @@ CacheManager::prefix_cached_tokens(PrefixKey key) const
 bool
 CacheManager::evict_idle_prefixes(std::int64_t blocks)
 {
+    // The victim is the least (last_use, key) among idle entries holding
+    // blocks: the first live record off the heap. Two entries never share
+    // a stamp, and the key breaks ties anyway, so the choice (and the
+    // eviction trace) never depends on hash iteration order.
     while (allocator_.num_free() < blocks) {
-        PrefixKey victim = -1;
-        std::uint64_t oldest = ~std::uint64_t{0};
-        // Victim selection is a total order over (last_use, key): two
-        // entries idle since the same tick tie-break on the smaller key,
-        // so the choice — and the eviction trace — never depends on hash
-        // iteration order.
-        // shiftlint-allow(unordered-emit): victim selection uses a total order over (last_use, key), independent of iteration order
-        for (auto& [key, entry] : prefixes_) {
-            if (entry.refs != 0 || entry.blocks.num_blocks() == 0)
-                continue;
-            if (entry.last_use < oldest ||
-                (entry.last_use == oldest &&
-                 (victim < 0 || key < victim))) {
-                victim = key;
-                oldest = entry.last_use;
-            }
-        }
-        if (victim < 0)
+        if (idle_.empty())
             return false;
-        auto it = prefixes_.find(victim);
+        std::pop_heap(idle_.begin(), idle_.end(), std::greater<>{});
+        const IdleRecord rec = idle_.back();
+        idle_.pop_back();
+        if (!live(rec))
+            continue;
+        auto it = prefixes_.find(rec.second);
         it->second.blocks.release(allocator_);
         prefixes_.erase(it);
         if (trace_ && trace_clock_) {
             trace_->on_instant(trace_id_, *trace_clock_,
-                               "prefix_evict #" + std::to_string(victim));
+                               "prefix_evict #" + std::to_string(rec.second));
         }
     }
     return true;
+}
+
+void
+CacheManager::drop_unpinned_prefixes()
+{
+    evict_idle_prefixes(std::numeric_limits<std::int64_t>::max());
+    std::erase_if(prefixes_,
+                  [](const auto& kv) { return kv.second.refs == 0; });
 }
 
 std::int64_t
@@ -157,9 +185,19 @@ CacheManager::accounting_consistent(std::int64_t held_outside) const
     std::int64_t held = held_outside;
     for (const auto& [id, table] : tables_)
         held += table.num_blocks();
-    for (const auto& [key, entry] : prefixes_)
+    // Records are never duplicated (each push carries a fresh stamp), so
+    // as many live records as evictable entries means one for each.
+    std::size_t evictable = 0;
+    for (const auto& [key, entry] : prefixes_) {
         held += entry.blocks.num_blocks();
-    return held == allocator_.num_used();
+        evictable += entry.refs == 0 && entry.blocks.num_blocks() > 0;
+    }
+    const auto records = std::count_if(
+        idle_.begin(), idle_.end(),
+        [this](const IdleRecord& r) { return live(r); });
+    return held == allocator_.num_used() &&
+           static_cast<std::size_t>(records) == evictable &&
+           std::is_heap(idle_.begin(), idle_.end(), std::greater<>{});
 }
 
 void

@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "kvcache/block_allocator.h"
 #include "kvcache/block_table.h"
@@ -142,11 +144,21 @@ class CacheManager
      */
     bool evict_idle_prefixes(std::int64_t blocks);
 
+    /**
+     * Fail-stop: evict every unpinned entry holding blocks (LRU-first, as
+     * `evict_idle_prefixes` does) and erase the unpinned ones that hold
+     * none (attached at an admission gate that then found the pool full).
+     */
+    void drop_unpinned_prefixes();
+
     /** @return total token capacity. */
     std::int64_t token_capacity() const { return token_capacity_; }
 
     /** @return tokens worth of blocks still free. */
     std::int64_t free_tokens() const;
+
+    /** @return blocks still free. */
+    std::int64_t free_blocks() const { return allocator_.num_free(); }
 
     /** @return pool utilization in [0, 1]. */
     double utilization() const { return allocator_.utilization(); }
@@ -169,8 +181,10 @@ class CacheManager
     /**
      * KV accounting invariant: `held_outside` (the blocks of every
      * request-owned table) plus the blocks of every prefix entry and
-     * id-keyed table sum to the pool's used count. O(prefix entries);
-     * `Engine::step` checks it in Debug builds.
+     * id-keyed table sum to the pool's used count, and the idle heap
+     * holds one live record per unpinned entry holding blocks.
+     * O(prefix entries + idle records); `Engine::step` checks it in Debug
+     * builds.
      *
      * @return true when the invariant holds.
      */
@@ -195,12 +209,25 @@ class CacheManager
         std::uint64_t last_use = 0;
     };
 
+    /** `(last_use, key)` of an entry that went idle holding blocks. */
+    using IdleRecord = std::pair<std::uint64_t, PrefixKey>;
+
+    /** Push `entry`'s record when it is idle and holds blocks. */
+    void note_idle(PrefixKey key, const PrefixEntry& entry);
+
+    /** @return true when `rec` still names an evictable entry: stamps
+     *  are unique, so one the entry was touched since never does. */
+    bool live(const IdleRecord& rec) const;
+
     std::int64_t token_capacity_;
     KvLayout layout_;
     BlockAllocator allocator_;
     /** Tables of the id-keyed overloads only (standalone callers). */
     std::unordered_map<RequestId, BlockTable> tables_;
     std::unordered_map<PrefixKey, PrefixEntry> prefixes_;
+    /** Min-heap of idle records, in eviction order; lazy: stale ones
+     *  are dropped as they surface or by `note_idle`'s compaction. */
+    std::vector<IdleRecord> idle_;
     std::int64_t prefix_hit_tokens_ = 0;
     std::uint64_t lru_clock_ = 0;
     obs::TraceSink* trace_ = nullptr;

@@ -188,6 +188,23 @@ TEST(PrefixEngine, ConcurrentSharersAllFinish)
     EXPECT_TRUE(e->cache().accounting_consistent(/*held_outside=*/0));
 }
 
+TEST(PrefixEngine, APrefillBlockedByIdlePrefixesEvictsThem)
+{
+    // The first request leaves a 30k-token idle prefix entry in a ~50k
+    // pool; the second needs 40k. Its chunks, capped at the free blocks,
+    // fill them; from then on only evicting the idle entry lets it go on.
+    auto cfg = tp8_engine_config();
+    cfg.mem.hbm_utilization = 0.03;
+    auto e = make_engine(tiny_model(), cfg);
+    ASSERT_GT(e->cache().token_capacity(), 40002);
+    ASSERT_LT(e->cache().token_capacity(), 70000);
+    e->submit({0.0, 30001, 2, 1, 30000}, 1);
+    e->submit({100.0, 40000, 2}, 2);
+    replay({e.get()});
+    EXPECT_EQ(e->metrics().requests().size(), 2u);
+    EXPECT_EQ(e->cache().prefix_entry_count(), 0u);
+}
+
 TEST_F(PrefixCacheManagerTest, DetachUnknownKeyIsNoOp)
 {
     cache_.detach_prefix(999);  // must not crash or underflow

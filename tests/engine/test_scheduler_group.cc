@@ -1,6 +1,8 @@
 /** @file The decode group: a scheduler that advances its decoders as one
- *  group stays step-for-step identical to one whose group is dissolved
- *  before every step (so every decoder is planned explicitly), its
+ *  group stays step-for-step identical, lifecycle events and prefix
+ *  evictions included, to one whose group is dissolved before every step
+ *  (so every decoder is planned explicitly, and every shortage walks
+ *  them), its
  *  slot-indexed finish heap pops in (finish, admitted) order through
  *  random joins and removals, and the Debug oracle catches a corrupted
  *  group. */
@@ -17,6 +19,7 @@
 #include "engine/scheduler.h"
 #include "kvcache/layout.h"
 #include "model/presets.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace shiftpar::engine {
@@ -26,10 +29,19 @@ struct SchedulerTestPeer
 {
     static void dissolve(Scheduler& s) { s.dissolve(); }
 
+    /** A group step, room made for it or not. */
     static bool
     group_step(const Scheduler& s)
     {
-        return s.path_ == Scheduler::Path::kGroup;
+        return s.path_ == Scheduler::Path::kGroup ||
+               s.path_ == Scheduler::Path::kRoomMade;
+    }
+
+    /** A group step that `make_room` evicted or preempted for. */
+    static bool
+    room_made(const Scheduler& s)
+    {
+        return s.path_ == Scheduler::Path::kRoomMade;
     }
 
     static bool
@@ -38,6 +50,8 @@ struct SchedulerTestPeer
         return s.path_ == Scheduler::Path::kBudget;
     }
 
+    /** The decode walk ran on shortage: `make_room` bailed out or, with
+     *  k > block size, was not tried. */
     static bool
     shortage_fallback(const Scheduler& s)
     {
@@ -103,6 +117,9 @@ struct Case
     bool prefix;        ///< prefix caching on
     std::int64_t capacity;  ///< KV tokens; the small one forces shortages
     std::int64_t budget = 512;  ///< max_batched_tokens; 32 caps k·seqs
+    /** Prefixes of at most one block (bs 16): a shortage's last eviction
+     *  often frees exactly the block it needs. */
+    bool small_prefixes = false;
 };
 
 std::string
@@ -117,8 +134,31 @@ case_name(const ::testing::TestParamInfo<Case>& info)
     name += std::to_string(c.capacity);
     name += "_budget";
     name += std::to_string(c.budget);
+    if (c.small_prefixes)
+        name += "_smallprefixes";
     return name;
 }
+
+/** Records lifecycle events and eviction instants in publication order. */
+struct EventLog : obs::TraceSink
+{
+    std::vector<std::string> events;
+
+    void
+    on_request(const obs::RequestEvent& e) override
+    {
+        events.push_back(std::string(obs::phase_name(e.phase)) + " #" +
+                         std::to_string(e.request) + " " +
+                         std::to_string(e.tokens) + " @" +
+                         std::to_string(e.t));
+    }
+
+    void
+    on_instant(obs::EngineId, double t, const std::string& name) override
+    {
+        events.push_back(name + " @" + std::to_string(t));
+    }
+};
 
 /** One scheduler over its own cache and its own copy of every request. */
 struct Side
@@ -129,12 +169,16 @@ struct Side
                 c.block_size),
           sched(opts, &cache), sched_k(opts.decode_tokens_per_step)
     {
+        sched.set_trace(&log, 0);
+        cache.set_trace(&log, 0, &clock);
     }
 
     kvcache::CacheManager cache;
     Scheduler sched;
     std::int64_t sched_k;
     std::vector<std::unique_ptr<Request>> requests;  // index == id
+    EventLog log;
+    double clock = 0.0;  ///< the eviction instants' time
 };
 
 /** What one step did, in the terms the two sides must agree on. */
@@ -149,8 +193,9 @@ struct StepResult
 struct Seen
 {
     std::int64_t group_steps = 0, admits = 0, joins = 0, finishes = 0,
-                 short_finishes = 0, shortages = 0, budget_clips = 0,
-                 member_cancels = 0, expiries = 0;
+                 short_finishes = 0, shortages = 0, room_made = 0,
+                 bail_outs = 0, budget_clips = 0, member_cancels = 0,
+                 expiries = 0;
 };
 
 /** One engine step (`Engine::step`'s schedule + on_step_complete). The
@@ -160,6 +205,7 @@ StepResult
 step(Side& s, double t, double dt, Seen* seen)
 {
     StepResult out;
+    s.clock = t;
     if (seen == nullptr)
         SchedulerTestPeer::dissolve(s.sched);
     const std::size_t running = s.sched.num_running();
@@ -174,7 +220,11 @@ step(Side& s, double t, double dt, Seen* seen)
         out.finished.emplace_back(r->id, r->finished);
     if (seen == nullptr)
         return out;
-    seen->shortages += SchedulerTestPeer::shortage_fallback(s.sched);
+    const bool walked = SchedulerTestPeer::shortage_fallback(s.sched);
+    const bool room_made = SchedulerTestPeer::room_made(s.sched);
+    seen->shortages += walked || room_made;
+    seen->room_made += room_made;
+    seen->bail_outs += walked && s.sched_k <= s.cache.block_size();
     seen->budget_clips += SchedulerTestPeer::budget_fallback(s.sched);
     if (!SchedulerTestPeer::group_step(s.sched))
         return out;
@@ -248,8 +298,10 @@ TEST_P(SteadyDifferential, MatchesTheFullPathStepForStep)
             spec.priority = static_cast<int>(rng.uniform_int(0, 1));
             if (rng.bernoulli(0.5)) {
                 spec.prefix_id = rng.uniform_int(0, 2);
-                spec.prefix_tokens =
-                    std::min(spec.prompt_tokens, rng.uniform_int(8, 96));
+                spec.prefix_tokens = std::min(
+                    spec.prompt_tokens, c.small_prefixes
+                                            ? rng.uniform_int(1, 16)
+                                            : rng.uniform_int(8, 96));
             }
             if (rng.bernoulli(0.25))
                 spec.deadline = spec.arrival + rng.uniform(0.1, 1.5);
@@ -295,6 +347,11 @@ TEST_P(SteadyDifferential, MatchesTheFullPathStepForStep)
 
             const StepResult a = step(ref, t, dt, nullptr);
             const StepResult b = step(grp, t, dt, &seen);
+            // Preemptions, prefill chunks, finishes and expiries in the
+            // same order, and the same eviction instants between them.
+            ASSERT_EQ(ref.log.events, grp.log.events);
+            ref.log.events.clear();
+            grp.log.events.clear();
             ASSERT_EQ(a.stepped, b.stepped);
             ASSERT_TRUE(a.work == b.work);
             ASSERT_EQ(a.finished, b.finished);
@@ -336,6 +393,14 @@ TEST_P(SteadyDifferential, MatchesTheFullPathStepForStep)
     if (c.capacity < 4096) {
         EXPECT_GT(seen.shortages, 0);
     }
+    // Room is made from the back only while k fits a block; on a small
+    // pool with prefixes it is made, and a decoder victim bails out too.
+    if (c.k > c.block_size) {
+        EXPECT_EQ(seen.room_made, 0);
+    } else if (c.capacity < 4096 && c.prefix) {
+        EXPECT_GT(seen.room_made, 0);
+        EXPECT_GT(seen.bail_outs, 0);
+    }
     if (c.budget < 64) {
         EXPECT_GT(seen.budget_clips, 0);
     }
@@ -350,7 +415,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{3, 16, true, 768}, Case{3, 1, false, 768},
                       Case{1, 16, true, 1 << 16}, Case{3, 16, true, 1 << 16},
                       Case{2, 16, false, 1 << 16, 32},
-                      Case{3, 1, true, 1 << 16, 32}),
+                      Case{3, 1, true, 1 << 16, 32},
+                      Case{1, 16, true, 768, 512, true},
+                      Case{2, 16, true, 768, 512, true}),
     case_name);
 
 TEST(DecodeGroup, FallsBackWhenKTokensEachOverrunTheBudget)

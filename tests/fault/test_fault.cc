@@ -218,6 +218,34 @@ TEST(EngineFault, FailDropsInFlightWorkAndStopsTheClock)
     EXPECT_EQ(e->metrics().requests().size(), 1u);
 }
 
+TEST(EngineFault, FailDropsAPrefixEntryThatNeverGotBlocks)
+{
+    // Request 0's prompt fills every block but one token's worth, so
+    // request 1 attaches to its prefix at the admission gate and then
+    // finds the pool full: the entry exists, pinned, with no blocks. The
+    // fail unpins it and must still leave the engine holding nothing.
+    engine::EngineConfig cfg;
+    cfg.base = {1, 8};
+    cfg.sched.enable_prefix_caching = true;
+    cfg.mem.hbm_utilization = 0.03;
+    auto e = make_engine(tiny_model(), cfg);
+    const std::int64_t blocks = e->cache().token_capacity() / 16;
+    ASSERT_GT(blocks, 100);
+    e->submit({0.0, blocks * 16 - 1, 2}, 0);
+    engine::RequestSpec shared{0.0, 2000, 10};
+    shared.prefix_id = 3;
+    shared.prefix_tokens = 1000;
+    e->submit(shared, 1);
+    for (int i = 0; i < 100 && e->cache().prefix_entry_count() == 0; ++i)
+        e->advance_to(e->next_event_time());
+    ASSERT_EQ(e->cache().prefix_entry_count(), 1u);
+    ASSERT_EQ(e->cache().prefix_cached_tokens(3), 0);
+
+    EXPECT_EQ(e->fail(e->now()).size(), 2u);
+    EXPECT_EQ(e->cache().prefix_entry_count(), 0u);
+    EXPECT_EQ(e->cache().used_blocks(), 0);
+}
+
 // --------------------------------------------------------- cluster replay
 
 std::vector<std::unique_ptr<engine::Engine>>

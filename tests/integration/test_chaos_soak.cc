@@ -3,7 +3,9 @@
  * Randomized chaos soak over the full request lifecycle: every robustness
  * feature at once — MTBF fail/recover faults, a graceful drain, client
  * cancellations, per-request deadlines, hedged retries, and circuit
- * breakers — under seeded random workloads and knob settings.
+ * breakers — under seeded random workloads and knob settings. Half the
+ * rounds also share prompt prefixes over a small KV pool, so faults meet
+ * prefix entries, evictions and preemptions.
  *
  * Two properties must survive arbitrary compositions:
  *
@@ -18,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -67,6 +70,12 @@ ChaosOutcome
 run_chaos(std::uint64_t seed)
 {
     Rng rng(seed);
+    // Shared prefixes and the small pool draw from their own stream, so
+    // every other draw of a round is the one it was without them.
+    Rng prefix_rng(seed * 7 + 3);
+    const bool shared_prefixes = prefix_rng.bernoulli(0.5);
+    // About 1.9k-3.2k KV tokens per tiny TP2 replica: a few requests.
+    const double hbm_utilization = prefix_rng.uniform(0.0293, 0.02945);
 
     // Random cluster: 2-4 serial-ish replicas so queues actually form.
     const int n_replicas = static_cast<int>(rng.uniform_int(2, 4));
@@ -76,6 +85,10 @@ run_chaos(std::uint64_t seed)
         EngineConfig cfg;
         cfg.base = {1, 2};
         cfg.sched.max_running_seqs = max_running;
+        if (shared_prefixes) {
+            cfg.sched.enable_prefix_caching = true;
+            cfg.mem.hbm_utilization = hbm_utilization;
+        }
         engines.push_back(make_engine(tiny_model(), cfg));
     }
     const auto policy = rng.bernoulli(0.5)
@@ -91,6 +104,15 @@ run_chaos(std::uint64_t seed)
         t += rng.exponential(rng.bernoulli(0.3) ? 400.0 : 60.0);
         reqs.push_back({t, rng.uniform_int(64, 1024),
                         rng.uniform_int(8, 64)});
+    }
+    if (shared_prefixes) {
+        for (RequestSpec& r : reqs) {
+            if (!prefix_rng.bernoulli(0.7))
+                continue;
+            r.prefix_id = prefix_rng.uniform_int(0, 3);
+            r.prefix_tokens =
+                std::min(r.prompt_tokens, prefix_rng.uniform_int(32, 512));
+        }
     }
 
     // Random lifecycle knobs: deadlines + cancels always on (they drive
@@ -142,7 +164,7 @@ run_chaos(std::uint64_t seed)
     EXPECT_EQ(os.completed + os.expired + os.cancelled + fs.lost + fs.shed,
               n_reqs)
         << "conservation leak at seed " << seed << " (spec: " << spec
-        << ")";
+        << (shared_prefixes ? ", shared prefixes" : "") << ")";
     EXPECT_EQ(met.requests().size(),
               static_cast<std::size_t>(os.completed));
     // A winning hedge clone reports under its offset id; mapped back to

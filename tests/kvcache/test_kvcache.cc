@@ -2,15 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "kvcache/cache_manager.h"
 #include "model/presets.h"
+#include "util/rng.h"
 
 namespace shiftpar::kvcache {
 
-/** Reaches into a CacheManager's pool to break its accounting on purpose. */
+/** Reaches into a CacheManager's pool and idle heap: reads them for a
+ *  reference scan and breaks them on purpose. */
 struct CacheManagerTestPeer
 {
     static BlockAllocator& pool(CacheManager& c) { return c.allocator_; }
+
+    /** A prefix entry as the reference scan sees it. */
+    struct Entry
+    {
+        std::uint64_t last_use;
+        PrefixKey key;
+        int refs;
+        std::int64_t blocks;
+    };
+
+    static std::vector<Entry>
+    entries(const CacheManager& c)
+    {
+        std::vector<Entry> out;
+        for (const auto& [key, e] : c.prefixes_)
+            out.push_back({e.last_use, key, e.refs, e.blocks.num_blocks()});
+        return out;
+    }
+
+    static std::size_t idle_records(const CacheManager& c)
+    {
+        return c.idle_.size();
+    }
+
+    static void forget_idle(CacheManager& c) { c.idle_.clear(); }
 };
 
 namespace {
@@ -395,6 +426,172 @@ TEST(CacheManager, EvictionOrderIndependentOfHashLayout)
         "prefix_evict #7", "prefix_evict #3", "prefix_evict #5"};
     EXPECT_EQ(traces[0], expected);
     EXPECT_EQ(traces[1], expected);
+}
+
+/** The victims a scan over every entry picks, least (last_use, key)
+ *  among the unpinned ones holding blocks first, until `target` blocks
+ *  are free: the eviction order before the idle heap. */
+std::vector<std::string>
+reference_victims(const CacheManager& c, std::int64_t target)
+{
+    auto entries = CacheManagerTestPeer::entries(c);
+    std::int64_t free = c.free_blocks();
+    std::vector<std::string> victims;
+    while (free < target) {
+        auto best = entries.end();
+        for (auto it = entries.begin(); it != entries.end(); ++it) {
+            if (it->refs != 0 || it->blocks == 0)
+                continue;
+            if (best == entries.end() ||
+                std::pair(it->last_use, it->key) <
+                    std::pair(best->last_use, best->key))
+                best = it;
+        }
+        if (best == entries.end())
+            break;
+        free += best->blocks;
+        victims.push_back("prefix_evict #" + std::to_string(best->key));
+        entries.erase(best);
+    }
+    return victims;
+}
+
+TEST(CacheManager, IdleHeapEvictsWhatAFullScanWould)
+{
+    // Random attaches, detaches, prefix fills, private appends, releases
+    // and explicit evictions over a small pool: every eviction, within an
+    // append or not, must take the victims a full scan picks, and the
+    // oracle (one live record per evictable entry) must hold throughout.
+    const auto m = model::llama_70b();
+    const double clock = 0.0;
+    CacheManager c(64 * 16, KvLayout::base(m, {1, 8}), 16);
+    EvictionLog log;
+    c.set_trace(&log, 0, &clock);
+    Rng rng(2026);
+    std::vector<PrefixKey> pins;        // one element per attach
+    std::vector<BlockTable> tables(4);  // private tables
+    std::int64_t evictions = 0, failed_appends = 0;
+    const auto held = [&] {
+        std::int64_t blocks = 0;
+        for (const BlockTable& t : tables)
+            blocks += t.num_blocks();
+        return blocks;
+    };
+    // The victims an append of `tokens` to a table needing `more` new
+    // blocks would take.
+    const auto append_victims = [&](std::int64_t more, std::int64_t tokens) {
+        return more <= c.free_blocks()
+                   ? std::vector<std::string>{}
+                   : reference_victims(c, c.blocks_for_tokens(tokens) + 1);
+    };
+    for (int op = 0; op < 20000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        log.instants.clear();
+        std::vector<std::string> expected;
+        // Detaches outnumber attaches so entries keep going idle.
+        const std::int64_t kind = rng.uniform_int(0, 6);
+        if (kind == 0 || pins.empty()) {
+            const PrefixKey key = rng.uniform_int(0, 11);
+            c.attach_prefix(key, rng.uniform_int(16, 160));
+            pins.push_back(key);
+        } else if (kind <= 2) {
+            const auto i = static_cast<std::size_t>(
+                rng.uniform_int(0, std::ssize(pins) - 1));
+            c.detach_prefix(pins[i]);
+            pins[i] = pins.back();
+            pins.pop_back();
+        } else if (kind == 3) {
+            const PrefixKey key = pins[static_cast<std::size_t>(
+                rng.uniform_int(0, std::ssize(pins) - 1))];
+            const std::int64_t tokens = rng.uniform_int(1, 64);
+            const std::int64_t cached = c.prefix_cached_tokens(key);
+            expected = append_victims(c.blocks_for_tokens(cached + tokens) -
+                                          c.blocks_for_tokens(cached),
+                                      tokens);
+            failed_appends += !c.try_append_prefix(key, tokens);
+        } else if (kind == 4) {
+            BlockTable& t = tables[static_cast<std::size_t>(
+                rng.uniform_int(0, std::ssize(tables) - 1))];
+            const std::int64_t tokens = rng.uniform_int(1, 200);
+            expected = append_victims(
+                c.blocks_for_tokens(t.num_tokens() + tokens) - t.num_blocks(),
+                tokens);
+            failed_appends += !c.try_append(t, tokens);
+        } else if (kind == 5) {
+            c.release(tables[static_cast<std::size_t>(
+                rng.uniform_int(0, std::ssize(tables) - 1))]);
+        } else {
+            const std::int64_t target =
+                c.free_blocks() + rng.uniform_int(1, 8);
+            expected = reference_victims(c, target);
+            c.evict_idle_prefixes(target);
+        }
+        ASSERT_EQ(log.instants, expected);
+        evictions += std::ssize(expected);
+        ASSERT_TRUE(c.accounting_consistent(held()));
+        // Stale records never outnumber the entries by much.
+        ASSERT_LE(CacheManagerTestPeer::idle_records(c),
+                  2 * c.prefix_entry_count() + 16);
+    }
+    EXPECT_GT(evictions, 1000);
+    EXPECT_GT(failed_appends, 100);
+}
+
+TEST(CacheManager, IdleHeapStaysBoundedWithoutEvictions)
+{
+    // Every attach stales its entry's record and every detach pushes a
+    // new one; with no eviction to pop them, compaction bounds the heap.
+    const auto m = model::llama_70b();
+    CacheManager c(1 << 16, KvLayout::base(m, {1, 8}), 16);
+    for (int i = 0; i < 5000; ++i) {
+        const PrefixKey key = i % 3;
+        c.attach_prefix(key, 64);
+        if (i < 3) {
+            ASSERT_TRUE(c.try_append_prefix(key, 64));
+        }
+        c.detach_prefix(key);
+        ASSERT_LE(CacheManagerTestPeer::idle_records(c),
+                  2 * c.prefix_entry_count() + 16);
+    }
+    EXPECT_TRUE(c.accounting_consistent(0));
+}
+
+TEST(CacheManager, OracleCatchesAnIdleEntryWithoutARecord)
+{
+    const auto m = model::llama_70b();
+    CacheManager c(160, KvLayout::base(m, {1, 8}), 16);
+    c.attach_prefix(4, 32);
+    ASSERT_TRUE(c.try_append_prefix(4, 32));
+    c.detach_prefix(4);
+    ASSERT_TRUE(c.accounting_consistent(0));
+    CacheManagerTestPeer::forget_idle(c);
+    EXPECT_FALSE(c.accounting_consistent(0));
+}
+
+TEST(CacheManager, DropUnpinnedPrefixesLeavesOnlyThePinned)
+{
+    const auto m = model::llama_70b();
+    const double clock = 0.0;
+    CacheManager c(320, KvLayout::base(m, {1, 8}), 16);
+    EvictionLog log;
+    c.set_trace(&log, 0, &clock);
+    for (const PrefixKey key : {5, 2}) {
+        c.attach_prefix(key, 32);
+        ASSERT_TRUE(c.try_append_prefix(key, 32));
+        c.detach_prefix(key);
+    }
+    c.attach_prefix(8, 32);  // unpinned, never filled: no blocks
+    c.detach_prefix(8);
+    c.attach_prefix(1, 32);  // stays pinned
+    ASSERT_TRUE(c.try_append_prefix(1, 32));
+    c.drop_unpinned_prefixes();
+    EXPECT_EQ(log.instants,
+              (std::vector<std::string>{"prefix_evict #5",
+                                        "prefix_evict #2"}));
+    EXPECT_EQ(c.prefix_entry_count(), 1u);
+    EXPECT_EQ(c.prefix_cached_tokens(1), 32);
+    EXPECT_EQ(c.used_blocks(), 2);
+    EXPECT_TRUE(c.accounting_consistent(0));
 }
 
 } // namespace
