@@ -468,7 +468,8 @@ Scheduler::make_room(std::int64_t blocks)
 {
     // With k <= block size each decoder appends into at most one new
     // block, and the walk meets each failed append by evicting idle
-    // prefixes until two blocks are free, then preempting the youngest
+    // prefixes to `try_append`'s headroom (the same for any n <= k
+    // tokens: `reclaim_for(k)`), then preempting the youngest
     // running request other than the failing decoder. While that victim
     // is a prefill, it is `running_.back()` whichever decoder failed, so
     // the walk's evictions and preemptions depend only on the blocks its
@@ -477,7 +478,7 @@ Scheduler::make_room(std::int64_t blocks)
         return false;
     for (std::int64_t used = 0; used < blocks; ++used) {
         while (cache_->free_blocks() - used < 1) {
-            cache_->evict_idle_prefixes(used + 2);
+            cache_->reclaim_for(opts_.decode_tokens_per_step, used);
             if (cache_->free_blocks() - used >= 1)
                 break;
             // A decoder victim: the walk, rerun from here, repeats every

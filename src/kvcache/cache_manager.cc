@@ -22,7 +22,7 @@ CacheManager::try_append(BlockTable& table, std::int64_t tokens)
     if (table.append_tokens(tokens, allocator_))
         return true;
     // Reclaim cold prefix entries before reporting pressure upward.
-    evict_idle_prefixes(allocator_.blocks_for_tokens(tokens) + 1);
+    reclaim_for(tokens);
     return table.append_tokens(tokens, allocator_);
 }
 

@@ -144,6 +144,14 @@ class CacheManager
      */
     bool evict_idle_prefixes(std::int64_t blocks);
 
+    /** Evict idle prefix entries until `try_append`'s headroom for
+     *  `tokens` new tokens (`blocks_for_tokens(tokens) + 1` free blocks)
+     *  is free beyond `taken` blocks. @return true when it is. */
+    bool reclaim_for(std::int64_t tokens, std::int64_t taken = 0)
+    {
+        return evict_idle_prefixes(taken + blocks_for_tokens(tokens) + 1);
+    }
+
     /**
      * Fail-stop: evict every unpinned entry holding blocks (LRU-first, as
      * `evict_idle_prefixes` does) and erase the unpinned ones that hold
