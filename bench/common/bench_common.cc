@@ -217,12 +217,6 @@ jobs()
     return obs_state().jobs;
 }
 
-bool
-profile_enabled()
-{
-    return obs_state().profile;
-}
-
 obs::ReportJson&
 report()
 {

@@ -60,9 +60,6 @@ obs::TraceSink* trace();
 /** Parsed `--jobs` value (defaults to hardware concurrency). */
 int jobs();
 
-/** @return whether `--profile` was given. */
-bool profile_enabled();
-
 /**
  * Shared run report that `run_deployment_named` records into. On a sweep
  * worker thread this resolves to the point's private buffer (see

@@ -149,18 +149,6 @@ class DisaggregatedSystem
      *  fabric, seconds (analytic; queueing adds on top during replay). */
     double transfer_delay(std::int64_t tokens) const;
 
-    /** @return resolved prefill-pool configuration. */
-    const parallel::ParallelConfig& prefill_config() const
-    {
-        return prefill_cfg_;
-    }
-
-    /** @return resolved decode-pool configuration. */
-    const parallel::ParallelConfig& decode_config() const
-    {
-        return decode_cfg_;
-    }
-
   private:
     model::ModelConfig model_;
     hw::Node node_;

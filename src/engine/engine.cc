@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 #include <limits>
 
@@ -360,33 +359,28 @@ Engine::next_event_time() const
 }
 
 bool
-Engine::advance_to(double t)
+Engine::advance_to([[maybe_unused]] double t)
 {
+    SP_DEBUG_ASSERT(t == next_event_time(), "engine granted t = ", t,
+                    " but its next event is at ", next_event_time());
     if (failed_ || !has_work())
         return false;
     if (scheduler_.num_running() == 0) {
         const double next = scheduler_.earliest_waiting_arrival();
         if (next > now_) {
+            // Only later arrivals wait, so the grant is max(now_, wake),
+            // and wake is finite because a request is waiting.
             const double wake =
                 std::min(next, scheduler_.earliest_deadline());
-            if (wake > t || !std::isfinite(wake))
-                return false;
             now_ = wake;  // skip idle time to the arrival or deadline
             if (wake < next)
                 expire_now();
             return true;
         }
     }
-    if (step())
-        return true;
-    // Nothing schedulable (KV-blocked), but a queued deadline may still
-    // pass inside the window: jump to it and expire, which is progress.
-    const double d = scheduler_.earliest_deadline();
-    if (d > now_ && d <= t && std::isfinite(d)) {
-        now_ = d;
-        return expire_now();
-    }
-    return false;
+    // Here the grant is now_: a step that fails (KV-blocked) leaves no
+    // later deadline inside the window to jump to.
+    return step();
 }
 
 std::optional<std::pair<RequestSpec, RequestId>>

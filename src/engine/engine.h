@@ -179,7 +179,12 @@ class Engine : public sim::Component
 
     /**
      * sim::Component: make one unit of progress — execute a single step,
-     * or skip idle time to the next arrival when that lands within `t`.
+     * or skip idle time to the next arrival or deadline.
+     *
+     * The cluster grants `t == next_event_time()` (its cached ready time,
+     * which Debug's `Cluster::verify_ready_cache` holds equal; checked
+     * here in Debug too). So `t` is `now_` whenever a step is
+     * attemptable, and the idle skip's target otherwise.
      *
      * @return false when no progress is possible (no work, or every
      * schedulable request is blocked on KV) — the cluster parks the
@@ -257,9 +262,6 @@ class Engine : public sim::Component
 
     /** @return collected telemetry. */
     const Metrics& metrics() const { return metrics_; }
-
-    /** @return per-GPU memory plan in force. */
-    const parallel::MemoryPlan& memory_plan() const { return mem_plan_; }
 
     /** @return the KV cache (for inspection in tests). */
     const kvcache::CacheManager& cache() const { return cache_; }

@@ -461,7 +461,7 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
     // The flight table is the one tally of terminal outcomes. Only
     // emission is gated: the outcome counters and the completed tally
     // appear when a lifecycle feature is in use, so a feature-off replay
-    // writes no outcome counter and reports no overload section.
+    // writes no outcome counter.
     const bool report_outcomes =
         overload_.any() || !cancels_.empty() ||
         std::any_of(sorted.begin(), sorted.end(),

@@ -13,9 +13,7 @@ ReportJson::ReportJson(std::string title) : title_(std::move(title)) {}
 void
 ReportJson::add_run(const std::string& name, const engine::Metrics& metrics,
                     const std::optional<RunDeploymentInfo>& deployment,
-                    const std::optional<engine::SloSpec>& slo,
-                    const std::optional<fault::FaultStats>& faults,
-                    const std::optional<engine::OverloadStats>& overload)
+                    const std::optional<engine::SloSpec>& slo)
 {
     Run run;
     run.name = name;
@@ -51,8 +49,6 @@ ReportJson::add_run(const std::string& name, const engine::Metrics& metrics,
         run.slo_attainment = metrics.slo_attainment(*slo);
         run.goodput = metrics.goodput(*slo);
     }
-    run.faults = faults;
-    run.overload = overload;
     std::lock_guard<std::mutex> lock(mutex_);
     runs_.push_back(std::move(run));
 }
@@ -136,34 +132,6 @@ ReportJson::write(std::ostream& os) const
             w.null();
         }
         w.end_object();  // metrics
-        if (run.faults) {
-            w.key("faults").begin_object();
-            w.kv("failures", run.faults->failures);
-            w.kv("recoveries", run.faults->recoveries);
-            w.kv("straggles", run.faults->straggles);
-            w.kv("degrades", run.faults->degrades);
-            w.kv("dropped_requests", run.faults->dropped);
-            w.kv("retries", run.faults->retries);
-            w.kv("lost_requests", run.faults->lost);
-            w.kv("shed_requests", run.faults->shed);
-            w.end_object();
-        }
-        if (run.overload) {
-            w.key("overload").begin_object();
-            w.kv("completed", run.overload->completed);
-            w.kv("expired", run.overload->expired);
-            w.kv("cancelled", run.overload->cancelled);
-            w.kv("hedges", run.overload->hedges);
-            w.kv("hedge_wins", run.overload->hedge_wins);
-            w.kv("hedge_losses", run.overload->hedge_losses);
-            w.kv("breaker_opens", run.overload->breaker_opens);
-            w.kv("breaker_probes", run.overload->breaker_probes);
-            w.kv("breaker_closes", run.overload->breaker_closes);
-            w.kv("drains", run.overload->drains);
-            w.kv("drained_requests", run.overload->drained);
-            w.kv("drain_resumes", run.overload->drain_resumes);
-            w.end_object();
-        }
         w.end_object();  // run
     }
     w.end_array();

@@ -2,11 +2,10 @@
  * @file
  * Machine-readable JSON run reports.
  *
- * Every experiment driver (the `bench_*` binaries, `core::run_deployment`,
- * the examples) previously printed ad-hoc tables and per-figure CSVs;
- * `ReportJson` gives them one schema-versioned document that
- * `tools/plot_results.py` (and any external analysis) can consume without
- * per-figure parsing code.
+ * The `bench_*` experiment drivers previously printed only ad-hoc tables
+ * and per-figure CSVs; `ReportJson` gives them one schema-versioned
+ * document that `tools/plot_results.py` (and any external analysis) can
+ * consume without per-figure parsing code.
  *
  * Schema (`shiftpar.run_report`, version 1):
  *
@@ -28,29 +27,17 @@
  *         "tpot_s":       {...}, "completion_s": {...}, "wait_s": {...},
  *         "slo": null | {"ttft_s":..,"tpot_s":..,"attainment":..,
  *                        "goodput_tok_s":..}
- *       },
- *       "faults": {"failures": N, "recoveries": N, "straggles": N,
- *                  "degrades": N, "dropped_requests": N, "retries": N,
- *                  "lost_requests": N, "shed_requests": N}
+ *       }
  *     }, ...
  *   ]
  * }
  *
- * The "faults" key is emitted only for runs recorded with fault stats
- * (still version 1: purely additive, absent for every pre-existing
- * producer, so committed reports stay byte-identical). The "overload" key
- * follows the same rule for request-lifecycle runs (deadlines, client
- * cancellation, hedged retries, circuit breakers, graceful drain):
- *
- *       "overload": {"completed": N, "expired": N, "cancelled": N,
- *                    "hedges": N, "hedge_wins": N, "hedge_losses": N,
- *                    "breaker_opens": N, "breaker_probes": N,
- *                    "breaker_closes": N, "drains": N,
- *                    "drained_requests": N, "drain_resumes": N}
- *
  * A top-level "metrics" key (the process self-observability snapshot from
- * `obs::MetricsRegistry`, own "version" inside) follows the same additive
- * rule: emitted only when `set_metrics` attached a non-empty snapshot.
+ * `obs::MetricsRegistry`, own "version" inside) is emitted only when
+ * `set_metrics` attached a non-empty snapshot (still version 1: purely
+ * additive, so reports without a snapshot keep their exact bytes). It is
+ * the report's one record of request outcomes: fault, retry, expiry,
+ * cancel and hedge counts arrive there as registry counters.
  *
  *   "metrics": {
  *     "version": 1,
@@ -72,8 +59,6 @@
 #include <vector>
 
 #include "engine/metrics.h"
-#include "engine/overload.h"
-#include "fault/fault_schedule.h"
 #include "obs/metrics_registry.h"
 
 namespace shiftpar::obs {
@@ -129,15 +114,10 @@ class ReportJson
      * @param metrics The run's merged metrics.
      * @param deployment Optional resolved-deployment facts.
      * @param slo Optional SLO to evaluate attainment/goodput against.
-     * @param faults Optional fault-replay counters (fault-injected runs).
-     * @param overload Optional request-lifecycle counters (runs with
-     *        deadlines, cancellation, hedging, breakers, or drains).
      */
     void add_run(const std::string& name, const engine::Metrics& metrics,
                  const std::optional<RunDeploymentInfo>& deployment = {},
-                 const std::optional<engine::SloSpec>& slo = {},
-                 const std::optional<fault::FaultStats>& faults = {},
-                 const std::optional<engine::OverloadStats>& overload = {});
+                 const std::optional<engine::SloSpec>& slo = {});
 
     /**
      * Move every run of `other` to the end of this report, preserving
@@ -192,8 +172,6 @@ class ReportJson
         std::optional<engine::SloSpec> slo;
         double slo_attainment = 0.0;
         double goodput = 0.0;
-        std::optional<fault::FaultStats> faults;
-        std::optional<engine::OverloadStats> overload;
     };
 
     mutable std::mutex mutex_;

@@ -122,6 +122,18 @@ TEST(MetricsDeterminism, FaultedSweepReportAndExpositionMatchAcrossJobs)
               std::string::npos);
     EXPECT_NE(j1.first.find("\"metrics\""), std::string::npos);
 
+    // The registry snapshot is the report's one record of those outcomes:
+    // the counters sit in its metrics section, and no run carries a
+    // per-run "faults" block beside them.
+    const std::string& report = j1.first;
+    const std::size_t counters = report.find("\"counters\"");
+    ASSERT_NE(counters, std::string::npos);
+    EXPECT_NE(report.find("\"shiftpar_fault_requests_total\"", counters),
+              std::string::npos);
+    EXPECT_NE(report.find("\"shiftpar_fault_transitions_total\"", counters),
+              std::string::npos);
+    EXPECT_EQ(report.find("\"faults\""), std::string::npos);
+
     EXPECT_EQ(j1.first, j4.first);
     EXPECT_EQ(j1.first, j16.first);
     EXPECT_EQ(j1.second, j4.second);

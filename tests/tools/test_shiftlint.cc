@@ -224,35 +224,16 @@ TEST(ShiftlintStructDrift, NewFieldMissingFromWriter)
         {{"src/fault/fault_schedule.h",
           "struct FaultStats { long failures = 0; long brand_new = 0; "
           "};\n"},
-         {"src/obs/report_json.cc", R"(
-void ReportJson::write()
+         {"src/engine/router.cc", R"(
+void Router::export_counters(bool report_outcomes) const
 {
-    w.kv("failures", run.faults->failures);
+    write("shiftpar_fault_transitions_total", "kind",
+          {{"failure", fs.failures}});
 }
 )"}});
     const auto findings = run_one(corpus, "struct-serializer-drift");
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_NE(findings[0].message.find("brand_new"), std::string::npos);
-}
-
-TEST(ShiftlintStructDrift, OverloadStatsFieldMissingFromWriter)
-{
-    // The lifecycle counters are watched against the report writer the
-    // same way FaultStats is: a counter added to OverloadStats but not
-    // serialized would silently vanish from every run report.
-    auto corpus = make_corpus(
-        {{"src/engine/overload.h",
-          "struct OverloadStats { long expired = 0; long unreported = 0; "
-          "};\n"},
-         {"src/obs/report_json.cc", R"(
-void ReportJson::write()
-{
-    w.kv("expired", run.overload->expired);
-}
-)"}});
-    const auto findings = run_one(corpus, "struct-serializer-drift");
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("unreported"), std::string::npos);
 }
 
 TEST(ShiftlintStructDrift, DelegatedMergeCoversFields)

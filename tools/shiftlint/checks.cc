@@ -365,8 +365,8 @@ class TraceSpanBalanceCheck final : public Check
  *
  * The accounting structs are only trustworthy if every field survives
  * both aggregation and serialization: a counter added to `FaultStats`
- * but not to the report writer silently vanishes from every downstream
- * analysis. Each watched struct's fields must appear in each of its
+ * but not to the registry export (`Router::export_counters`) silently
+ * vanishes from every downstream analysis. Each watched struct's fields must appear in each of its
  * coverage functions (one level of same-file call delegation is
  * followed, so `Metrics::merge` delegating to `add_record`/`merge_steps`
  * counts).
@@ -400,9 +400,7 @@ class StructSerializerDriftCheck final : public Check
         };
         static const Watch kWatched[] = {
             {"FaultStats", "fault/fault_schedule.h",
-             {"ReportJson::write"}, false},
-            {"OverloadStats", "engine/overload.h",
-             {"ReportJson::write"}, false},
+             {"Router::export_counters"}, false},
             {"Run", "obs/report_json.h", {"ReportJson::write"}, false},
             {"LatencySummary", "obs/report_json.h",
              {"ReportJson::write"}, false},
