@@ -1,10 +1,7 @@
 #include "core/disaggregated.h"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 #include <string>
-#include <unordered_map>
 
 #include "hw/interconnect.h"
 #include "sim/cluster.h"
@@ -82,32 +79,10 @@ DisaggregatedSystem::run_workload(
                                     ? opts_.max_inflight_decode_tokens
                                     : decode->cache().token_capacity();
 
-    enum class Stage
-    {
-        kPending,    // arrived, stalled by the admission budget
-        kPrefill,    // in the prefill pool
-        kTransfer,   // KV handoff on the fabric
-        kDecode,     // in the decode pool
-        kDone,
-        kCancelled,
-    };
-    struct Tracked
-    {
-        Stage stage = Stage::kPending;
-        double transfer_start = 0.0;
-        double transfer_end = 0.0;  ///< scheduled handoff completion
-        double admit_ready = 0.0;   ///< when backpressure began stalling it
-        std::int64_t fabric_id = -1;  ///< current fabric reservation
-    };
-    std::vector<Tracked> track(n);
+    // When backpressure began stalling each arrival.
+    std::vector<double> admit_ready(n, 0.0);
 
     hw::LinkChannel fabric(node_.link);
-    // Fabric reservations get fresh ids (a handoff re-sent after a link
-    // outage must not collide with its aborted reservation); the map
-    // resolves a reservation back to its request.
-    std::int64_t next_fabric_id = 0;
-    std::unordered_map<std::int64_t, std::size_t> fabric_owner;
-    double link_down_until = 0.0;
     sim::Cluster cluster;
     cluster.add(prefill.get());
     cluster.add(decode.get());
@@ -121,7 +96,6 @@ DisaggregatedSystem::run_workload(
     };
 
     auto start_prefill = [&](std::size_t i, double t) {
-        track[i].stage = Stage::kPrefill;
         committed += context_tokens(i);
         engine::RequestSpec ps = sorted[i];
         ps.output_tokens = 1;  // prefill emits the first token
@@ -135,58 +109,33 @@ DisaggregatedSystem::run_workload(
     auto drain_admissions = [&](double t) {
         while (stalled_head < stalled.size()) {
             const std::size_t i = stalled[stalled_head];
-            if (track[i].stage == Stage::kCancelled) {
-                ++stalled_head;
-                continue;
-            }
             if (committed + context_tokens(i) > budget)
                 break;
             ++stalled_head;
-            stats_.stall_seconds += t - track[i].admit_ready;
+            stats_.stall_seconds += t - admit_ready[i];
             start_prefill(i, t);
         }
     };
 
-    // Completion events carry the window end they were scheduled against;
-    // a fabric cancel can shift queued transfers earlier, in which case
-    // the stale event is dropped in favor of the reposted one.
-    std::function<void(std::size_t, double)> post_transfer_complete =
-        [&](std::size_t i, double end) {
-            cluster.post(end, [&, i, end] {
-                if (track[i].stage != Stage::kTransfer ||
-                    track[i].transfer_end != end)
-                    return;
-                track[i].stage = Stage::kDecode;
-                ++stats_.transfers;
-                stats_.link_busy_seconds += end - track[i].transfer_start;
-                engine::RequestSpec ds = sorted[i];
-                ds.arrival = end;
-                decode->advance_clock_to(end);
-                decode->submit_prefilled(ds,
-                                         static_cast<engine::RequestId>(i));
-                if (opts_.trace) {
-                    opts_.trace->on_instant(prefill->trace_id(), end,
-                                            "kv_handoff #" +
-                                                std::to_string(i));
-                }
-            });
-        };
-
-    // Reserve the fabric for request `i`'s handoff no earlier than `t`
-    // (pushed past any link outage in force) and arm its completion.
+    // Reserve the fabric for request `i`'s handoff no earlier than `t`;
+    // the decode pool takes the request over when the transfer lands.
     auto start_transfer = [&](std::size_t i, double t) {
         const double bytes =
             static_cast<double>(sorted[i].prompt_tokens + 1) *
             model_.kv_bytes_per_token();
-        const std::int64_t fid = next_fabric_id++;
-        const auto win =
-            fabric.reserve(fid, std::max(t, link_down_until), bytes);
-        fabric_owner[fid] = i;
-        track[i].fabric_id = fid;
-        track[i].stage = Stage::kTransfer;
-        track[i].transfer_start = win.start;
-        track[i].transfer_end = win.end;
-        post_transfer_complete(i, win.end);
+        const auto win = fabric.reserve(t, bytes);
+        cluster.post(win.end, [&, i, win] {
+            ++stats_.transfers;
+            stats_.link_busy_seconds += win.end - win.start;
+            engine::RequestSpec ds = sorted[i];
+            ds.arrival = win.end;
+            decode->advance_clock_to(win.end);
+            decode->submit_prefilled(ds, static_cast<engine::RequestId>(i));
+            if (opts_.trace) {
+                opts_.trace->on_instant(prefill->trace_id(), win.end,
+                                        "kv_handoff #" + std::to_string(i));
+            }
+        });
     };
 
     prefill->set_on_finish([&](const engine::Request& r) {
@@ -194,7 +143,6 @@ DisaggregatedSystem::run_workload(
         const double t = prefill->now();
         if (sorted[i].output_tokens <= 1) {
             // Single-token requests finish on the prefill pool.
-            track[i].stage = Stage::kDone;
             committed -= context_tokens(i);
             cluster.post(t, [&, t] { drain_admissions(t); });
             return true;
@@ -206,7 +154,6 @@ DisaggregatedSystem::run_workload(
     decode->set_on_finish([&](const engine::Request& r) {
         const auto i = static_cast<std::size_t>(r.id);
         const double t = decode->now();
-        track[i].stage = Stage::kDone;
         committed -= context_tokens(i);
         cluster.post(t, [&, t] { drain_admissions(t); });
         return true;
@@ -221,11 +168,9 @@ DisaggregatedSystem::run_workload(
         }
         cluster.post(sorted[i].arrival, [&, i] {
             const double t = sorted[i].arrival;
-            if (track[i].stage == Stage::kCancelled)
-                return;  // aborted before arriving
             if (stalled_head < stalled.size() ||
                 committed + context_tokens(i) > budget) {
-                track[i].admit_ready = t;
+                admit_ready[i] = t;
                 stalled.push_back(i);
                 ++stats_.stalled_admissions;
                 return;
@@ -234,104 +179,14 @@ DisaggregatedSystem::run_workload(
         });
     }
 
-    for (const auto& [when, id] : cancels_) {
-        cluster.post(when, [&, when, id] {
-            const auto i = static_cast<std::size_t>(id);
-            if (i >= n || track[i].stage == Stage::kDone ||
-                track[i].stage == Stage::kCancelled)
-                return;
-            const Stage was = track[i].stage;
-            track[i].stage = Stage::kCancelled;
-            ++stats_.cancelled;
-            switch (was) {
-              case Stage::kPending:
-                // Nothing committed yet; drain skips the dead entry.
-                break;
-              case Stage::kPrefill:
-                prefill->cancel(id);
-                committed -= context_tokens(i);
-                break;
-              case Stage::kTransfer: {
-                // Release the fabric reservation; transfers queued behind
-                // shift earlier, so repost their completion events.
-                ++stats_.transfers_cancelled;
-                for (const std::int64_t shifted :
-                     fabric.cancel(track[i].fabric_id, when)) {
-                    const std::size_t j = fabric_owner.at(shifted);
-                    const auto w = fabric.window(shifted);
-                    track[j].transfer_start = w.start;
-                    track[j].transfer_end = w.end;
-                    post_transfer_complete(j, w.end);
-                }
-                committed -= context_tokens(i);
-                break;
-              }
-              case Stage::kDecode:
-                decode->cancel(id);
-                committed -= context_tokens(i);
-                break;
-              default:
-                break;
-            }
-            if (was != Stage::kPending)
-                cluster.post(when, [&, when] { drain_admissions(when); });
-        });
-    }
-
-    for (const auto& [at, recover_at] : link_failures_) {
-        cluster.post(at, [&, at, recover_at] {
-            ++stats_.link_failures;
-            link_down_until = std::max(link_down_until, recover_at);
-            if (opts_.trace) {
-                obs::FaultEvent ev;
-                ev.engine = prefill->trace_id();
-                ev.kind = obs::FaultKind::kLinkDegrade;
-                ev.t = at;
-                opts_.trace->on_fault(ev);
-            }
-            // Every pending handoff — on the wire or queued — is aborted
-            // through the cancel path (partial KV is useless without its
-            // tail) and re-sent whole, FIFO by request index, once the
-            // link recovers.
-            for (std::size_t i = 0; i < n; ++i) {
-                if (track[i].stage != Stage::kTransfer)
-                    continue;
-                fabric.cancel(track[i].fabric_id, at);
-                // Invalidate the aborted handoff's pending completion
-                // event (NaN compares unequal to every window end).
-                track[i].transfer_end =
-                    std::numeric_limits<double>::quiet_NaN();
-                ++stats_.transfers_resent;
-                cluster.post(recover_at, [&, i, recover_at] {
-                    // A client abort during the outage wins; its cancel
-                    // against the dead reservation was already a no-op.
-                    if (track[i].stage != Stage::kTransfer)
-                        return;
-                    start_transfer(i, recover_at);
-                });
-            }
-            cluster.post(recover_at, [&, recover_at] {
-                if (opts_.trace) {
-                    obs::FaultEvent ev;
-                    ev.engine = prefill->trace_id();
-                    ev.kind = obs::FaultKind::kLinkRestore;
-                    ev.t = recover_at;
-                    opts_.trace->on_fault(ev);
-                }
-            });
-        });
-    }
-
     cluster.run();
     if (prefill->has_work() || decode->has_work())
         fatal("disaggregated replay deadlocked: a pool still holds "
               "unfinished requests its KV cache cannot admit");
-    for (std::size_t k = stalled_head; k < stalled.size(); ++k) {
-        if (track[stalled[k]].stage == Stage::kPending)
-            fatal("disaggregated replay deadlocked: request " +
-                  std::to_string(stalled[k]) +
-                  " never cleared the admission budget");
-    }
+    if (stalled_head < stalled.size())
+        fatal("disaggregated replay deadlocked: request " +
+              std::to_string(stalled[stalled_head]) +
+              " never cleared the admission budget");
 
     std::vector<engine::RequestRecord> prefill_recs(n);
     std::vector<bool> has_prefill(n, false);
@@ -348,8 +203,8 @@ DisaggregatedSystem::run_workload(
 
     engine::Metrics combined(opts_.throughput_bin);
     for (std::size_t i = 0; i < n; ++i) {
-        if (track[i].stage != Stage::kDone || !has_prefill[i])
-            continue;  // cancelled requests produce no record
+        SP_ASSERT(has_prefill[i], "request ", i,
+                  " finished without a prefill record");
         engine::RequestRecord rec;
         rec.id = static_cast<engine::RequestId>(i);
         rec.arrival = sorted[i].arrival;

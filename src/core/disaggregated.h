@@ -18,19 +18,15 @@
  * handoffs serialize), and admission to the prefill pool is gated by the
  * decode pool's committed-context budget — a saturated decode pool
  * back-pressures new prefills instead of letting finished-but-
- * untransferable KV pile up. Client cancellations can land at any stage,
- * including mid-transfer, where they release the link for the transfers
- * queued behind.
+ * untransferable KV pile up.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/deployment.h"
-#include "util/logging.h"
 
 namespace shiftpar::core {
 
@@ -54,7 +50,7 @@ struct DisaggregatedOptions
 
     /**
      * Admission budget: total context tokens (prompt + output) of
-     * requests admitted to prefill and not yet finished (or cancelled).
+     * requests admitted to prefill and not yet finished.
      * An arrival that would exceed the budget waits — decode-pool
      * backpressure stalling prefill admission. 0 derives the budget from
      * the decode pool's KV token capacity.
@@ -75,26 +71,14 @@ struct DisaggregatedStats
     /** KV handoffs delivered to the decode pool. */
     std::int64_t transfers = 0;
 
-    /** Handoffs released mid-flight or while queued by a cancellation. */
-    std::int64_t transfers_cancelled = 0;
-
     /** Arrivals delayed by the decode-pool admission budget. */
     std::int64_t stalled_admissions = 0;
 
     /** Total admission delay across stalled arrivals, seconds. */
     double stall_seconds = 0.0;
 
-    /** Requests cancelled before completing. */
-    std::int64_t cancelled = 0;
-
     /** Fabric occupancy of delivered handoffs, seconds. */
     double link_busy_seconds = 0.0;
-
-    /** Injected link outages replayed. */
-    std::int64_t link_failures = 0;
-
-    /** Handoffs aborted by a link outage and re-sent after recovery. */
-    std::int64_t transfers_resent = 0;
 };
 
 /** A prefill-pool + decode-pool deployment of one model on one node. */
@@ -108,39 +92,13 @@ class DisaggregatedSystem
     /**
      * Replay a workload end to end on one event timeline: arrivals gate
      * on the admission budget, prefill completions schedule fabric
-     * transfers, transfer completions feed the decode pool, and scheduled
-     * cancellations release whichever stage holds the request. Combined
+     * transfers, and transfer completions feed the decode pool. Combined
      * per-request records carry true TTFT (prefill pool, inclusive of
      * admission stall), TPOT (decode pool), and completion; throughput
-     * counts both pools' tokens. Cancelled requests produce no record.
+     * counts both pools' tokens.
      */
     engine::Metrics run_workload(
         const std::vector<engine::RequestSpec>& workload);
-
-    /**
-     * Schedule a client abort of request `id` (its position in the
-     * arrival-sorted workload) at time `t`, delivered during the next
-     * `run_workload`.
-     */
-    void schedule_cancel(double t, engine::RequestId id)
-    {
-        cancels_.emplace_back(t, id);
-    }
-
-    /**
-     * Schedule a fabric outage over [at, recover_at) for the next
-     * `run_workload` (fault injection). Handoffs on the wire when the
-     * link dies are aborted through the same cancel path client aborts
-     * use — transfers queued behind them shift accordingly — and are
-     * re-sent whole once the link recovers (partially transferred KV is
-     * useless without its tail). Prefills finishing during the outage
-     * queue their handoff for the recovery instant.
-     */
-    void schedule_link_failure(double at, double recover_at)
-    {
-        SP_ASSERT(recover_at > at && at >= 0.0);
-        link_failures_.emplace_back(at, recover_at);
-    }
 
     /** @return pipeline counters of the last `run_workload`. */
     const DisaggregatedStats& stats() const { return stats_; }
@@ -155,8 +113,6 @@ class DisaggregatedSystem
     DisaggregatedOptions opts_;
     parallel::ParallelConfig prefill_cfg_;
     parallel::ParallelConfig decode_cfg_;
-    std::vector<std::pair<double, engine::RequestId>> cancels_;
-    std::vector<std::pair<double, double>> link_failures_;
     DisaggregatedStats stats_;
 };
 

@@ -5,7 +5,7 @@
  * A `FaultSchedule` is a declarative list of faults to inject into a
  * deployment replay: fail-stop replica failures (with optional recovery),
  * per-step straggler slowdowns, and interconnect degradation windows. It
- * is parsed from a `--faults` command-line spec (or built
+ * is parsed from a spec string by `parse_fault_spec` (or built
  * programmatically) and *materialized* against a concrete deployment —
  * resolving rank addresses to engine indices and expanding stochastic
  * MTBF clauses into a seed-deterministic event list — so the same spec
@@ -126,7 +126,7 @@ struct FaultSchedule
 };
 
 /**
- * Parse a `--faults` spec (see file comment for the grammar). An empty
+ * Parse a fault spec (see file comment for the grammar). An empty
  * spec returns an empty schedule; anything malformed — unknown clause or
  * key, missing required key, unparsable or out-of-range value —
  * `fatal()`s naming the offending token.

@@ -1,7 +1,6 @@
 #include "hw/interconnect.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -102,79 +101,12 @@ LinkChannel::occupancy(double bytes) const
     return bytes / link_.effective_bw() + link_.latency;
 }
 
-double
-LinkChannel::busy_until() const
-{
-    // Active windows are non-decreasing in FIFO order, so the last active
-    // entry ends last.
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-        if (!it->cancelled)
-            return it->end;
-    }
-    return 0.0;
-}
-
 LinkChannel::Window
-LinkChannel::reserve(std::int64_t id, double t, double bytes)
+LinkChannel::reserve(double t, double bytes)
 {
-    const double start = std::max(t, busy_until());
-    const Entry e{id, t, bytes, start, start + occupancy(bytes), false};
-    entries_.push_back(e);
-    return {e.start, e.end};
-}
-
-std::vector<std::int64_t>
-LinkChannel::cancel(std::int64_t id, double t)
-{
-    std::vector<std::int64_t> moved;
-    std::size_t pos = entries_.size();
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].id == id && !entries_[i].cancelled) {
-            pos = i;
-            break;
-        }
-    }
-    if (pos == entries_.size() || t >= entries_[pos].end)
-        return moved;  // absent or already delivered: nothing to release
-    Entry& victim = entries_[pos];
-    if (t <= victim.start) {
-        victim.cancelled = true;  // never started: the slot frees entirely
-    } else {
-        victim.end = t;  // in flight: the link is held until the abort
-    }
-    // Pull everything queued behind the victim earlier.
-    double prev_end = 0.0;
-    for (std::size_t i = 0; i < pos; ++i) {
-        if (!entries_[i].cancelled)
-            prev_end = entries_[i].end;
-    }
-    if (!victim.cancelled)
-        prev_end = victim.end;
-    for (std::size_t i = pos + 1; i < entries_.size(); ++i) {
-        Entry& e = entries_[i];
-        if (e.cancelled)
-            continue;
-        const double start = std::max(e.req, prev_end);
-        const double end = start + occupancy(e.bytes);
-        if (start != e.start || end != e.end) {
-            e.start = start;
-            e.end = end;
-            moved.push_back(e.id);
-        }
-        prev_end = e.end;
-    }
-    return moved;
-}
-
-LinkChannel::Window
-LinkChannel::window(std::int64_t id) const
-{
-    for (const Entry& e : entries_) {
-        if (e.id == id && !e.cancelled)
-            return {e.start, e.end};
-    }
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    return {nan, nan};
+    const double start = std::max(t, busy_until_);
+    busy_until_ = start + occupancy(bytes);
+    return {start, busy_until_};
 }
 
 } // namespace shiftpar::hw

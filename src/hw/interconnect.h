@@ -20,9 +20,7 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace shiftpar::hw {
 
@@ -99,11 +97,7 @@ class CollectiveModel
  * FIFO occupancy model of one point-to-point link (e.g. the fabric
  * between a prefill and a decode pool). Point-to-point transfers
  * serialize: a transfer requested while the link is busy starts when the
- * link frees. `reserve` is the only way time moves forward; `cancel`
- * releases a queued or in-flight reservation and pulls everything behind
- * it earlier. Callers that schedule completion events against `reserve`'s
- * window revalidate them against `window(id)` when `cancel` reports a
- * shifted id.
+ * link frees. The link's whole state is the time it next frees up.
  */
 class LinkChannel
 {
@@ -121,29 +115,12 @@ class LinkChannel
     /**
      * Reserve the link for a `bytes`-sized transfer requested at time `t`.
      * The transfer starts at `max(t, busy_until())` and occupies the link
-     * for `occupancy(bytes)` seconds. `id` must be unique per reservation.
+     * for `occupancy(bytes)` seconds; the link is busy until its end.
      */
-    Window reserve(std::int64_t id, double t, double bytes);
-
-    /**
-     * Cancel reservation `id` at time `t`. A transfer that has not started
-     * is removed outright; one in flight is truncated at `t` (the bytes
-     * already sent stay sent). Transfers queued behind it shift earlier.
-     * No-op (empty result) when `id` is absent or already finished by `t`.
-     *
-     * @return ids whose occupancy window changed.
-     */
-    std::vector<std::int64_t> cancel(std::int64_t id, double t);
-
-    /**
-     * @return the current window of reservation `id`; NaN bounds when the
-     *         id was never reserved or its reservation was cancelled
-     *         before starting.
-     */
-    Window window(std::int64_t id) const;
+    Window reserve(double t, double bytes);
 
     /** @return the time the link next frees up (0 when never used). */
-    double busy_until() const;
+    double busy_until() const { return busy_until_; }
 
     /** @return seconds a `bytes`-sized transfer occupies the link. */
     double occupancy(double bytes) const;
@@ -152,18 +129,8 @@ class LinkChannel
     const LinkSpec& link() const { return link_; }
 
   private:
-    struct Entry
-    {
-        std::int64_t id;
-        double req;    ///< request time (earliest possible start)
-        double bytes;
-        double start;
-        double end;
-        bool cancelled;
-    };
-
     LinkSpec link_;
-    std::vector<Entry> entries_;  ///< FIFO reservation order
+    double busy_until_ = 0.0;
 };
 
 } // namespace shiftpar::hw

@@ -76,14 +76,6 @@ MetricsRegistry::counter_add(const std::string& name, std::int64_t delta,
 }
 
 void
-MetricsRegistry::gauge_set(const std::string& name, double value,
-                           const MetricLabels& labels)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    gauges_[make_key(name, labels)] = value;
-}
-
-void
 MetricsRegistry::gauge_max(const std::string& name, double value,
                            const MetricLabels& labels)
 {

@@ -91,8 +91,8 @@ struct MetricsSnapshot
  *
  * Three instrument kinds with deterministic merge semantics:
  *  - counters: monotonically added integers; merge sums.
- *  - gauges: latest level; merge takes the maximum (high-water), the only
- *    order-independent choice for parallel sweep points.
+ *  - gauges: high-water levels; recording and merge both take the
+ *    maximum, the only order-independent choice for parallel sweep points.
  *  - histograms: `util::Histogram` quantile sketches; merge folds buckets.
  */
 class MetricsRegistry
@@ -105,10 +105,6 @@ class MetricsRegistry
     /** Add `delta` to the counter `name`/`labels` (creating it at 0). */
     void counter_add(const std::string& name, std::int64_t delta = 1,
                      const MetricLabels& labels = {});
-
-    /** Set the gauge `name`/`labels` to `value`. */
-    void gauge_set(const std::string& name, double value,
-                   const MetricLabels& labels = {});
 
     /** Raise the gauge `name`/`labels` to at least `value` (high-water). */
     void gauge_max(const std::string& name, double value,

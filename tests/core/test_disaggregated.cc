@@ -189,104 +189,5 @@ TEST(DisaggregatedOnline, SaturatedDecodePoolBackpressuresPrefill)
     EXPECT_GT(stalled.ttft, 0.9 * delta);
 }
 
-TEST(DisaggregatedOnline, CancelMidTransferReleasesTheLink)
-{
-    using shiftpar::testing::tiny_model;
-    const std::vector<engine::RequestSpec> reqs = {{0.0, 2048, 16},
-                                                   {0.0, 2048, 16}};
-
-    DisaggregatedSystem baseline(tiny_model(), slow_fabric_node(),
-                                 tiny_pools());
-    const auto met_base = baseline.run_workload(reqs);
-    const double delta = baseline.transfer_delay(2049);
-    double base_finish_1 = 0.0;
-    for (const auto& r : met_base.requests()) {
-        if (r.id == 1)
-            base_finish_1 = r.arrival + r.completion;
-    }
-
-    // Abort request 0 while its KV handoff occupies the fabric (prefill
-    // of 2048 tokens finishes in far under a second; the transfer then
-    // holds the link for >1 s). Request 1's queued handoff must shift
-    // earlier — the in-flight transfer event is released, not leaked.
-    DisaggregatedSystem sys(tiny_model(), slow_fabric_node(), tiny_pools());
-    sys.schedule_cancel(1.0, 0);
-    const auto met = sys.run_workload(reqs);
-
-    EXPECT_EQ(sys.stats().cancelled, 1);
-    EXPECT_EQ(sys.stats().transfers_cancelled, 1);
-    EXPECT_EQ(sys.stats().transfers, 1);
-    ASSERT_EQ(met.requests().size(), 1u);
-    EXPECT_EQ(met.requests()[0].id, 1);
-    const double finish_1 =
-        met.requests()[0].arrival + met.requests()[0].completion;
-    // The freed link saves most of a transfer slot.
-    EXPECT_LT(finish_1, base_finish_1 - 0.5 * delta);
-}
-
-TEST(DisaggregatedOnline, CancelFreesTheAdmissionBudget)
-{
-    using shiftpar::testing::tiny_model;
-    auto opts = tiny_pools();
-    opts.max_inflight_decode_tokens = 2100;
-    DisaggregatedSystem sys(tiny_model(), slow_fabric_node(), opts);
-    // Request 1 stalls behind request 0's budget; aborting request 0
-    // (whatever stage it is in at t=1) must let request 1 through.
-    sys.schedule_cancel(1.0, 0);
-    const auto met =
-        sys.run_workload({{0.0, 2048, 16}, {0.0, 2048, 16}});
-
-    EXPECT_EQ(sys.stats().cancelled, 1);
-    EXPECT_EQ(sys.stats().stalled_admissions, 1);
-    ASSERT_EQ(met.requests().size(), 1u);
-    EXPECT_EQ(met.requests()[0].id, 1);
-    // Admission resumed at the cancel, not after a full pipeline pass.
-    EXPECT_LT(met.requests()[0].wait, 1.5);
-}
-
-TEST(DisaggregatedOnline, LinkFailureAbortsAndResendsTheHandoff)
-{
-    using shiftpar::testing::tiny_model;
-    const std::vector<engine::RequestSpec> one = {{0.0, 2048, 16}};
-
-    DisaggregatedSystem base(tiny_model(), slow_fabric_node(), tiny_pools());
-    const auto healthy = base.run_workload(one);
-    ASSERT_EQ(healthy.requests().size(), 1u);
-    const double delta = base.transfer_delay(2049);
-    ASSERT_GT(delta, 1.0);
-    // Prefill ends well before t=1 and the handoff occupies the slow
-    // fabric for > 1 s, so an outage at t=1 lands mid-transfer.
-    ASSERT_LT(healthy.requests()[0].ttft, 1.0);
-
-    DisaggregatedSystem sys(tiny_model(), slow_fabric_node(), tiny_pools());
-    sys.schedule_link_failure(1.0, 3.0);
-    const auto met = sys.run_workload(one);
-
-    EXPECT_EQ(sys.stats().link_failures, 1);
-    EXPECT_EQ(sys.stats().transfers_resent, 1);
-    // Partial KV is useless: the handoff restarts whole after recovery,
-    // and the request still completes exactly once.
-    ASSERT_EQ(met.requests().size(), 1u);
-    EXPECT_DOUBLE_EQ(met.requests()[0].ttft, healthy.requests()[0].ttft);
-    EXPECT_GT(met.requests()[0].completion,
-              healthy.requests()[0].completion + 1.0);
-}
-
-TEST(DisaggregatedOnline, PrefillDuringOutageQueuesHandoffForRecovery)
-{
-    using shiftpar::testing::tiny_model;
-    DisaggregatedSystem sys(tiny_model(), slow_fabric_node(), tiny_pools());
-    // The link is down from the start; prefill finishes during the outage,
-    // so the handoff waits for the recovery instant (nothing to abort).
-    sys.schedule_link_failure(0.0, 10.0);
-    const auto met = sys.run_workload({{0.0, 2048, 16}});
-
-    EXPECT_EQ(sys.stats().link_failures, 1);
-    EXPECT_EQ(sys.stats().transfers_resent, 0);
-    EXPECT_EQ(sys.stats().transfers, 1);
-    ASSERT_EQ(met.requests().size(), 1u);
-    EXPECT_GT(met.requests()[0].completion, 10.0);
-}
-
 } // namespace
 } // namespace shiftpar::core

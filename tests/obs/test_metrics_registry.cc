@@ -27,7 +27,7 @@ TEST(MetricsRegistry, StartsEmptyAndClears)
     EXPECT_TRUE(reg.empty());
     EXPECT_TRUE(reg.snapshot().empty());
     reg.counter_add("a");
-    reg.gauge_set("b", 1.0);
+    reg.gauge_max("b", 1.0);
     reg.observe("c", 2.0);
     EXPECT_FALSE(reg.empty());
     reg.clear();
@@ -48,16 +48,12 @@ TEST(MetricsRegistry, CountersAccumulate)
 TEST(MetricsRegistry, GaugeSetOverwritesAndMaxRaises)
 {
     MetricsRegistry reg;
-    reg.gauge_set("depth", 7.0);
-    reg.gauge_set("depth", 3.0);
     reg.gauge_max("peak", 5.0);
     reg.gauge_max("peak", 2.0);  // lower: must not regress
     const MetricsSnapshot snap = reg.snapshot();
-    ASSERT_EQ(snap.gauges.size(), 2u);
-    EXPECT_EQ(snap.gauges[0].name, "depth");
-    EXPECT_DOUBLE_EQ(snap.gauges[0].value, 3.0);
-    EXPECT_EQ(snap.gauges[1].name, "peak");
-    EXPECT_DOUBLE_EQ(snap.gauges[1].value, 5.0);
+    ASSERT_EQ(snap.gauges.size(), 1u);
+    EXPECT_EQ(snap.gauges[0].name, "peak");
+    EXPECT_DOUBLE_EQ(snap.gauges[0].value, 5.0);
 }
 
 TEST(MetricsRegistry, HistogramsSummarize)
@@ -154,7 +150,7 @@ TEST(MetricsRegistry, PrometheusExpositionShape)
     MetricsRegistry reg;
     reg.counter_add("shiftpar_fault_requests_total", 3,
                     {{"outcome", "shed"}});
-    reg.gauge_set("shiftpar_queue_depth", 4.0);
+    reg.gauge_max("shiftpar_queue_depth", 4.0);
     reg.observe("shiftpar_run_seconds", 0.5);
     reg.observe("shiftpar_run_seconds", 1.5);
     std::ostringstream os;

@@ -198,8 +198,8 @@ class UnorderedEmitCheck final : public Check
             "on_request",      "on_step",        "on_mode_switch",
             "on_gauge",        "on_fault",       "on_instant",
             "add_run",         "add_row",        "CsvWriter",
-            "JsonWriter",      "counter_add",    "gauge_set",
-            "gauge_max",       "observe",        "write_prometheus",
+            "JsonWriter",      "counter_add",    "gauge_max",
+            "observe",         "write_prometheus",
             "publish_request", "set_metrics",
         };
 
