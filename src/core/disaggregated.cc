@@ -125,8 +125,6 @@ DisaggregatedSystem::run_workload(
             model_.kv_bytes_per_token();
         const auto win = fabric.reserve(t, bytes);
         cluster.post(win.end, [&, i, win] {
-            ++stats_.transfers;
-            stats_.link_busy_seconds += win.end - win.start;
             engine::RequestSpec ds = sorted[i];
             ds.arrival = win.end;
             decode->advance_clock_to(win.end);

@@ -68,17 +68,11 @@ struct DisaggregatedOptions
 /** Pipeline counters of one `DisaggregatedSystem::run_workload`. */
 struct DisaggregatedStats
 {
-    /** KV handoffs delivered to the decode pool. */
-    std::int64_t transfers = 0;
-
     /** Arrivals delayed by the decode-pool admission budget. */
     std::int64_t stalled_admissions = 0;
 
     /** Total admission delay across stalled arrivals, seconds. */
     double stall_seconds = 0.0;
-
-    /** Fabric occupancy of delivered handoffs, seconds. */
-    double link_busy_seconds = 0.0;
 };
 
 /** A prefill-pool + decode-pool deployment of one model on one node. */

@@ -177,7 +177,6 @@ Engine::fail(double t)
     draining_ = false;  // fail-stop trumps a drain in progress
     now_ = std::max(now_, t);
     slowdown_ = 1.0;
-    comm_multiplier_ = 1.0;
 
     auto out = hand_back(scheduler_.fail_all());
 
@@ -216,19 +215,6 @@ Engine::set_slowdown(double factor, double t)
         cfg_.trace->on_fault({cfg_.trace_id,
                               factor > 1.0 ? obs::FaultKind::kStraggleStart
                                            : obs::FaultKind::kStraggleEnd,
-                              t, factor});
-    }
-}
-
-void
-Engine::set_comm_multiplier(double factor, double t)
-{
-    SP_ASSERT(factor >= 1.0);
-    comm_multiplier_ = factor;
-    if (cfg_.trace) {
-        cfg_.trace->on_fault({cfg_.trace_id,
-                              factor > 1.0 ? obs::FaultKind::kLinkDegrade
-                                           : obs::FaultKind::kLinkRestore,
                               t, factor});
     }
 }
@@ -298,9 +284,8 @@ Engine::step()
         cfg_.cost_metrics ? &breakdown : nullptr);
     if (cfg_.cost_metrics)
         record_cost_metrics(timing, breakdown);
-    // Fault-injection multipliers; a healthy engine's are exactly 1.0, and
+    // Straggler multiplier; a healthy engine's is exactly 1.0, and
     // x * 1.0 == x, so its timings stay the same doubles.
-    timing.comm *= comm_multiplier_;
     timing.gemm *= slowdown_;
     timing.attention *= slowdown_;
     timing.comm *= slowdown_;

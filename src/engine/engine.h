@@ -342,13 +342,6 @@ class Engine : public sim::Component
      */
     void set_slowdown(double factor, double t);
 
-    /**
-     * Interconnect degradation: scale the communication component of
-     * every subsequent step by `factor` (1 restores, bit-identically).
-     * Publishes a link_degrade/link_restore trace transition at `t`.
-     */
-    void set_comm_multiplier(double factor, double t);
-
     /** @return GPUs in this engine's rank group (SP x TP). */
     int num_gpus() const { return cfg_.base.world(); }
 
@@ -403,8 +396,7 @@ class Engine : public sim::Component
     double now_ = 0.0;
     bool failed_ = false;
     bool draining_ = false;  ///< graceful drain: admission closed
-    double slowdown_ = 1.0;         ///< straggler factor (1 = healthy)
-    double comm_multiplier_ = 1.0;  ///< interconnect factor (1 = healthy)
+    double slowdown_ = 1.0;  ///< straggler factor (1 = healthy)
 };
 
 } // namespace shiftpar::engine

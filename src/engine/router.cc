@@ -240,10 +240,8 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
         return;
     }
     ++fault_stats_.retries;
-    const double delay =
-        std::min(resilience_.backoff_base *
-                     std::pow(2.0, static_cast<double>(attempt - 1)),
-                 resilience_.backoff_cap);
+    const double delay = std::min(
+        0.25 * std::pow(2.0, static_cast<double>(attempt - 1)), 4.0);
     const double when = t + delay;
     publish(engines_[0]->trace_id(), id, obs::RequestPhase::kRetried, t,
             attempt);
@@ -265,8 +263,8 @@ Router::on_engine_failure(std::size_t idx, double t)
 {
     Engine& victim = *engines_[idx];
     SP_ASSERT(!victim.failed());
-    // Straggle/degrade restores aimed at the dead engine are obsolete —
-    // fail() resets its multipliers and recovery brings it back healthy.
+    // Straggle restores aimed at the dead engine are obsolete — fail()
+    // resets its slowdown and recovery brings it back healthy.
     for (const sim::EventId ev : pending_restores_[idx])
         active_cluster_->cancel_event(ev);
     pending_restores_[idx].clear();
@@ -291,12 +289,8 @@ Router::on_engine_recovery(std::size_t idx, double t)
 void
 Router::arm_faults(sim::Cluster* cluster)
 {
-    std::vector<int> gpus;
-    gpus.reserve(engines_.size());
-    for (const auto& e : engines_)
-        gpus.push_back(e->num_gpus());
-
-    for (const fault::FaultEvent& ev : faults_.materialize(gpus)) {
+    for (const fault::FaultEvent& ev :
+         faults_.materialize(static_cast<int>(engines_.size()))) {
         switch (ev.kind) {
           case fault::FaultKind::kFail:
             cluster->post(ev.at, [this, ev] {
@@ -353,26 +347,6 @@ Router::arm_faults(sim::Cluster* cluster)
                         ++overload_stats_.drain_resumes;
                         engines_[idx]->resume_admission(resume_at);
                     });
-                }
-            });
-            break;
-          case fault::FaultKind::kDegrade:
-            cluster->post(ev.at, [this, ev] {
-                ++fault_stats_.degrades;
-                const std::size_t n = engines_.size();
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (ev.engine >= 0 &&
-                        i != static_cast<std::size_t>(ev.engine))
-                        continue;
-                    if (engines_[i]->failed())
-                        continue;
-                    engines_[i]->set_comm_multiplier(ev.factor, ev.at);
-                    pending_restores_[i].push_back(
-                        active_cluster_->post(ev.recover_at, [this, i,
-                                                              ev] {
-                            engines_[i]->set_comm_multiplier(
-                                1.0, ev.recover_at);
-                        }));
                 }
             });
             break;
@@ -507,8 +481,7 @@ Router::export_counters(bool report_outcomes) const
           {{"failure", fs.failures},
            {"recovery", fs.recoveries},
            {"straggle", fs.straggles},
-           {"drain", os.drains},
-           {"degrade", fs.degrades}});
+           {"drain", os.drains}});
     if (!report_outcomes)
         return;
     write("shiftpar_request_outcome_total", "outcome",

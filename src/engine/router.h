@@ -59,25 +59,19 @@ struct MigrationOptions
  *
  * When a replica fail-stops, its dropped requests are retried on a
  * surviving replica after a capped exponential backoff (attempt n waits
- * min(backoff_base * 2^(n-1), backoff_cap) seconds, modeling client
- * retry loops); a request that exhausts `max_retries` is permanently
- * lost. While the cluster is degraded below `shed_watermark` (surviving
- * GPU fraction), new arrivals are load-shed — either all of them, or,
- * when the SLO-aware knobs are set, only those whose estimated queueing
- * wait (best surviving backlog / `replica_tokens_per_s`) exceeds
- * `shed_ttft_slo` — so the survivors keep meeting the SLO instead of
- * melting down under the full offered load.
+ * min(0.25 * 2^(n-1), 4) seconds: 0.25 s doubling up to 4 s, modeling
+ * client retry loops); a request that exhausts `max_retries` is
+ * permanently lost. While the cluster is degraded below `shed_watermark`
+ * (surviving GPU fraction), new arrivals are load-shed — either all of
+ * them, or, when the SLO-aware knobs are set, only those whose estimated
+ * queueing wait (best surviving backlog / `replica_tokens_per_s`)
+ * exceeds `shed_ttft_slo` — so the survivors keep meeting the SLO
+ * instead of melting down under the full offered load.
  */
 struct ResilienceOptions
 {
     /** Retry attempts per request before it is declared lost. */
     int max_retries = 3;
-
-    /** First-retry backoff, seconds. */
-    double backoff_base = 0.25;
-
-    /** Backoff ceiling, seconds. */
-    double backoff_cap = 4.0;
 
     /**
      * Shed new arrivals while surviving GPUs / total GPUs is below this
@@ -127,10 +121,10 @@ class Router
     /**
      * Install a fault-injection schedule and recovery policy for the next
      * `run_workload`. The schedule is materialized against this
-     * router's replicas — rank addresses resolve to whole engines, so one
-     * lost rank stalls its entire SP x TP group — and every fault becomes
-     * an event on the replay's cluster timeline. With an empty schedule
-     * the replay is bit-identical to an unfaulted one.
+     * router's replicas — a fault takes a whole engine, so one failure
+     * stalls its entire SP x TP group — and every fault becomes an event
+     * on the replay's cluster timeline. With an empty schedule the
+     * replay is bit-identical to an unfaulted one.
      */
     void set_faults(fault::FaultSchedule schedule,
                     ResilienceOptions resilience = {})
@@ -380,7 +374,7 @@ class Router
     ResilienceOptions resilience_;
     fault::FaultStats fault_stats_;
     sim::Cluster* active_cluster_ = nullptr;  ///< replay-scoped borrow
-    /** Pending straggle/degrade restore events, cancelled on fail-stop. */
+    /** Pending straggle restore events, cancelled on fail-stop. */
     std::vector<std::vector<sim::EventId>> pending_restores_;
 
     OverloadOptions overload_;

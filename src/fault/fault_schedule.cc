@@ -55,12 +55,12 @@ parse_pairs(const std::string& label, const std::string& body)
     for (const std::string& item : split(body, ',')) {
         const std::size_t eq = item.find('=');
         if (eq == std::string::npos || eq == 0 || eq + 1 >= item.size()) {
-            fatal("--faults: malformed key=value token '" + item +
+            fatal("fault spec: malformed key=value token '" + item +
                   "' in clause " + label);
         }
         const std::string key = item.substr(0, eq);
         if (!pairs.emplace(key, item.substr(eq + 1)).second) {
-            fatal("--faults: duplicate key '" + key + "' in clause " +
+            fatal("fault spec: duplicate key '" + key + "' in clause " +
                   label);
         }
     }
@@ -86,7 +86,7 @@ class Keys
         char* end = nullptr;
         const double v = std::strtod(value.c_str(), &end);
         if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-            fatal("--faults: key '" + key + "' expects a number, got '" +
+            fatal("fault spec: key '" + key + "' expects a number, got '" +
                   value + "' in clause " + clause_);
         }
         return v;
@@ -97,7 +97,7 @@ class Keys
     {
         const double v = number(key);
         if (!(v >= min)) {
-            fatal("--faults: key '" + key + "' must be >= " +
+            fatal("fault spec: key '" + key + "' must be >= " +
                   std::to_string(min) + ", got '" + raw(key) +
                   "' in clause " + clause_);
         }
@@ -112,7 +112,7 @@ class Keys
         // (or NaN, for which the check is false) to int is undefined.
         if (!(v >= 0 && v <= INT_MAX) ||
             static_cast<double>(static_cast<int>(v)) != v) {
-            fatal("--faults: key '" + key +
+            fatal("fault spec: key '" + key +
                   "' expects a non-negative integer, got '" + raw(key) +
                   "' in clause " + clause_);
         }
@@ -128,7 +128,7 @@ class Keys
         const unsigned long long v =
             std::strtoull(value.c_str(), &end, 10);
         if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-            fatal("--faults: key '" + key + "' expects an integer, got '" +
+            fatal("fault spec: key '" + key + "' expects an integer, got '" +
                   value + "' in clause " + clause_);
         }
         return v;
@@ -140,7 +140,7 @@ class Keys
     {
         for (const auto& [key, value] : pairs_) {
             if (!used_.count(key)) {
-                fatal("--faults: unknown key '" + key + "' in clause " +
+                fatal("fault spec: unknown key '" + key + "' in clause " +
                       clause_);
             }
         }
@@ -152,7 +152,7 @@ class Keys
     {
         const auto it = pairs_.find(key);
         if (it == pairs_.end()) {
-            fatal("--faults: clause " + clause_ + " needs key '" + key +
+            fatal("fault spec: clause " + clause_ + " needs key '" + key +
                   "'");
         }
         used_.insert(key);
@@ -163,27 +163,6 @@ class Keys
     std::map<std::string, std::string> pairs_;
     std::set<std::string> used_;
 };
-
-/** Read the engine=/rank= address into `ev`; fatal() when both given. */
-void
-parse_target(Keys& keys, const std::string& label, FaultEvent* ev,
-             bool required)
-{
-    const bool has_engine = keys.has("engine");
-    const bool has_rank = keys.has("rank");
-    if (has_engine && has_rank) {
-        fatal("--faults: clause " + label +
-              " must address engine= or rank=, not both");
-    }
-    if (has_engine)
-        ev->engine = keys.index("engine");
-    else if (has_rank)
-        ev->rank = keys.index("rank");
-    else if (required) {
-        fatal("--faults: clause " + label +
-              " needs an engine= or rank= target");
-    }
-}
 
 } // namespace
 
@@ -216,7 +195,7 @@ parse_fault_spec(const std::string& spec)
             std::to_string(index) + " ('" + clause + "')";
         const std::size_t colon = clause.find(':');
         if (colon == std::string::npos) {
-            fatal("--faults: clause " + label +
+            fatal("fault spec: clause " + label +
                   " is missing its 'kind:' prefix");
         }
         const std::string kind = clause.substr(0, colon);
@@ -225,33 +204,30 @@ parse_fault_spec(const std::string& spec)
         if (kind == "fail") {
             FaultEvent ev;
             ev.kind = FaultKind::kFail;
-            parse_target(keys, label, &ev, /*required=*/true);
+            ev.engine = keys.index("engine");
             ev.at = keys.number_at_least("at", 0.0);
             ev.recover_at = keys.has("recover")
                                 ? keys.number_at_least("recover", 0.0)
                                 : kInf;
             if (ev.recover_at <= ev.at) {
-                fatal("--faults: recover= must be after at= in clause " +
+                fatal("fault spec: recover= must be after at= in clause " +
                       label);
             }
             keys.finish();
             schedule.events.push_back(ev);
-        } else if (kind == "straggle" || kind == "degrade") {
+        } else if (kind == "straggle") {
             FaultEvent ev;
-            ev.kind = kind == "straggle" ? FaultKind::kStraggle
-                                         : FaultKind::kDegrade;
-            parse_target(keys, label, &ev,
-                         /*required=*/ev.kind == FaultKind::kStraggle);
+            ev.kind = FaultKind::kStraggle;
+            ev.engine = keys.index("engine");
             ev.at = keys.number_at_least("at", 0.0);
             ev.recover_at = keys.number_at_least("until", 0.0);
             if (ev.recover_at <= ev.at) {
-                fatal("--faults: until= must be after at= in clause " +
+                fatal("fault spec: until= must be after at= in clause " +
                       label);
             }
-            ev.factor = keys.number(
-                ev.kind == FaultKind::kStraggle ? "slow" : "factor");
+            ev.factor = keys.number("slow");
             if (!(ev.factor > 1.0)) {
-                fatal("--faults: slowdown factor must be > 1 in clause " +
+                fatal("fault spec: slowdown factor must be > 1 in clause " +
                       label);
             }
             keys.finish();
@@ -259,13 +235,13 @@ parse_fault_spec(const std::string& spec)
         } else if (kind == "drain") {
             FaultEvent ev;
             ev.kind = FaultKind::kDrain;
-            parse_target(keys, label, &ev, /*required=*/true);
+            ev.engine = keys.index("engine");
             ev.at = keys.number_at_least("at", 0.0);
             ev.recover_at = keys.has("resume")
                                 ? keys.number_at_least("resume", 0.0)
                                 : kInf;
             if (ev.recover_at <= ev.at) {
-                fatal("--faults: resume= must be after at= in clause " +
+                fatal("fault spec: resume= must be after at= in clause " +
                       label);
             }
             keys.finish();
@@ -278,53 +254,31 @@ parse_fault_spec(const std::string& spec)
             if (keys.has("seed"))
                 m.seed = keys.seed("seed");
             if (!(m.mean > 0.0) || !(m.mttr > 0.0) || !(m.duration > 0.0)) {
-                fatal("--faults: mtbf clause needs positive mean=, mttr=, "
+                fatal("fault spec: mtbf clause needs positive mean=, mttr=, "
                       "and duration= in clause " + label);
             }
             keys.finish();
             schedule.mtbf.push_back(m);
         } else {
-            fatal("--faults: unknown clause kind '" + kind +
+            fatal("fault spec: unknown clause kind '" + kind +
                   "' in clause " + label +
-                  " (expected fail/straggle/degrade/drain/mtbf)");
+                  " (expected fail/straggle/drain/mtbf)");
         }
     }
     return schedule;
 }
 
 std::vector<FaultEvent>
-FaultSchedule::materialize(const std::vector<int>& gpus_per_engine) const
+FaultSchedule::materialize(int num_engines) const
 {
-    const int num_engines = static_cast<int>(gpus_per_engine.size());
     SP_ASSERT(num_engines > 0);
-    int total_gpus = 0;
-    for (const int g : gpus_per_engine) {
-        SP_ASSERT(g > 0);
-        total_gpus += g;
-    }
-
-    const auto engine_of_rank = [&](int rank) {
-        int offset = 0;
-        for (int e = 0; e < num_engines; ++e) {
-            offset += gpus_per_engine[e];
-            if (rank < offset)
-                return e;
-        }
-        fatal("--faults: rank " + std::to_string(rank) +
-              " is outside the deployment (" + std::to_string(total_gpus) +
-              " GPUs)");
-    };
-
-    std::vector<FaultEvent> out;
-    for (FaultEvent ev : events) {
-        if (ev.rank >= 0)
-            ev.engine = engine_of_rank(ev.rank);
-        else if (ev.engine >= num_engines) {
-            fatal("--faults: engine " + std::to_string(ev.engine) +
+    std::vector<FaultEvent> out = events;
+    for (const FaultEvent& ev : out) {
+        if (ev.engine < 0 || ev.engine >= num_engines) {
+            fatal("fault spec: engine " + std::to_string(ev.engine) +
                   " is outside the deployment (" +
                   std::to_string(num_engines) + " engines)");
         }
-        out.push_back(ev);
     }
 
     // Stochastic clauses: one decorrelated stream per (clause, engine),

@@ -4,31 +4,20 @@
  *
  * A `FaultSchedule` is a declarative list of faults to inject into a
  * deployment replay: fail-stop replica failures (with optional recovery),
- * per-step straggler slowdowns, and interconnect degradation windows. It
- * is parsed from a spec string by `parse_fault_spec` (or built
- * programmatically) and *materialized* against a concrete deployment —
- * resolving rank addresses to engine indices and expanding stochastic
- * MTBF clauses into a seed-deterministic event list — so the same spec
- * plus seed always replays the same faults, byte for byte, regardless of
- * `--jobs` or host.
+ * per-step straggler slowdowns and graceful drains. It is parsed from a
+ * spec string by `parse_fault_spec` (or built programmatically) and
+ * *materialized* against a concrete deployment — checking every engine
+ * index and expanding stochastic MTBF clauses into a seed-deterministic
+ * event list — so the same spec plus seed always replays the same
+ * faults, byte for byte, regardless of `--jobs` or host.
  *
  * Spec grammar (clauses separated by ';', keys by ','):
  *
  *   fail:engine=1,at=10[,recover=25]      fail-stop engine 1 at t=10s,
  *                                         rejoin (empty KV) at t=25s
- *   fail:rank=3,at=10                     address by GPU rank instead —
- *                                         the engine owning rank 3 dies,
- *                                         so one lost rank stalls a whole
- *                                         TP x SP group while flat DP
- *                                         loses a single replica
  *   straggle:engine=0,at=5,until=15,slow=2.5
  *                                         engine 0 runs every step 2.5x
  *                                         slower during [5,15)
- *   degrade:at=5,until=20,factor=4[,engine=i|rank=r]
- *                                         interconnect 4x slower (comm
- *                                         component of every step);
- *                                         applies to all engines unless
- *                                         addressed
  *   mtbf:mean=60,mttr=5,duration=300[,seed=1]
  *                                         stochastic fail/recover: each
  *                                         engine independently fails with
@@ -61,35 +50,27 @@ enum class FaultKind
 {
     kFail,      ///< fail-stop at `at`; optional recovery at `recover_at`
     kStraggle,  ///< per-step slowdown by `factor` during [at, recover_at)
-    kDegrade,   ///< interconnect slowdown by `factor` during [at, recover_at)
     kDrain,     ///< graceful drain at `at`; admission resumes at `recover_at`
 };
 
-/** One scheduled fault against one engine (or all, for kDegrade). */
+/** One scheduled fault against one engine. */
 struct FaultEvent
 {
     FaultKind kind = FaultKind::kFail;
 
-    /**
-     * Target engine index within the deployment; -1 when addressed by
-     * `rank` (resolved at materialization) or, for kDegrade only, when
-     * the fault applies to every engine.
-     */
-    int engine = -1;
-
-    /** Target GPU rank (resolved to the owning engine); -1 when unset. */
-    int rank = -1;
+    /** Target engine index within the deployment. */
+    int engine = 0;
 
     /** Fault start time, seconds. */
     double at = 0.0;
 
     /**
      * Recovery/restore time, seconds; +inf for a permanent fail-stop.
-     * Always finite for kStraggle/kDegrade.
+     * Always finite for kStraggle.
      */
     double recover_at = 0.0;
 
-    /** Slowdown factor (> 1) for kStraggle/kDegrade; unused for kFail. */
+    /** Slowdown factor (> 1) for kStraggle; unused otherwise. */
     double factor = 1.0;
 };
 
@@ -112,17 +93,14 @@ struct FaultSchedule
     bool empty() const { return events.empty() && mtbf.empty(); }
 
     /**
-     * Resolve the schedule against a deployment: map `rank` addresses to
-     * engine indices via `gpus_per_engine` (rank r belongs to the engine
-     * whose cumulative GPU range contains it) and expand every MTBF
-     * clause into explicit fail events with seed-deterministic times.
-     * fatal() on an engine index or rank outside the deployment.
+     * Resolve the schedule against a deployment of `num_engines`
+     * replicas: expand every MTBF clause into explicit fail events with
+     * seed-deterministic times. fatal() on an engine index outside
+     * [0, num_engines).
      *
-     * @param gpus_per_engine GPU count of each engine, in replica order.
      * @return events sorted by (time, insertion order).
      */
-    std::vector<FaultEvent> materialize(
-        const std::vector<int>& gpus_per_engine) const;
+    std::vector<FaultEvent> materialize(int num_engines) const;
 };
 
 /**
@@ -139,7 +117,6 @@ struct FaultStats
     std::int64_t failures = 0;    ///< fail-stop transitions applied
     std::int64_t recoveries = 0;  ///< engines that rejoined
     std::int64_t straggles = 0;   ///< straggle windows applied
-    std::int64_t degrades = 0;    ///< interconnect degradation windows
     std::int64_t dropped = 0;     ///< in-flight requests dropped by fails
     std::int64_t retries = 0;     ///< re-route attempts scheduled
     std::int64_t lost = 0;        ///< requests dropped permanently
@@ -148,8 +125,8 @@ struct FaultStats
     /** @return true when any counter is non-zero. */
     bool any() const
     {
-        return failures | recoveries | straggles | degrades | dropped |
-               retries | lost | shed;
+        return failures | recoveries | straggles | dropped | retries |
+               lost | shed;
     }
 };
 

@@ -9,7 +9,7 @@
  *    `EngineMeta` label, with four threads: "steps" (complete events, one
  *    per iteration, named "base step"/"shift step" so the two modes color
  *    differently), "mode" (shift/unshift instants), "cache" (instants
- *    such as prefix evictions), and "fault" (fail/recover/degrade/straggle
+ *    such as prefix evictions), and "fault" (fail/recover/straggle/drain
  *    transitions from injected faults);
  *  - counter tracks per engine: batched tokens, execution mode (0 = base,
  *    1 = shift), KV occupancy, queue depth, and outstanding tokens;

@@ -34,8 +34,6 @@ fault_kind_name(FaultKind kind)
     switch (kind) {
       case FaultKind::kFail:          return "fail";
       case FaultKind::kRecover:       return "recover";
-      case FaultKind::kLinkDegrade:   return "link_degrade";
-      case FaultKind::kLinkRestore:   return "link_restore";
       case FaultKind::kStraggleStart: return "straggle_start";
       case FaultKind::kStraggleEnd:   return "straggle_end";
       case FaultKind::kDrainStart:    return "drain_start";

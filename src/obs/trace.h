@@ -110,13 +110,11 @@ struct ModeSwitchEvent
     parallel::ParallelConfig to;
 };
 
-/** Kinds of injected-fault transitions on an engine or its links. */
+/** Kinds of injected-fault transitions on an engine. */
 enum class FaultKind
 {
     kFail,           ///< fail-stop: the engine drops all in-flight state
     kRecover,        ///< the engine rejoins with an empty KV cache
-    kLinkDegrade,    ///< interconnect slowdown applied (magnitude = factor)
-    kLinkRestore,    ///< interconnect back to full speed
     kStraggleStart,  ///< per-step slowdown applied (magnitude = factor)
     kStraggleEnd,    ///< straggler back to full speed
     kDrainStart,     ///< graceful drain: admission stopped, queue handed back
@@ -138,7 +136,7 @@ struct FaultEvent
     /** Simulated time, seconds. */
     double t = 0.0;
 
-    /** Slowdown factor for degrade/straggle transitions; 0 otherwise. */
+    /** Slowdown factor for straggle transitions; 0 otherwise. */
     double magnitude = 0.0;
 
     /** In-flight requests dropped by a kFail transition; 0 otherwise. */

@@ -39,9 +39,6 @@ struct JsonValue
 
     bool is_null() const { return std::holds_alternative<std::nullptr_t>(v); }
     bool is_object() const { return std::holds_alternative<JsonObject>(v); }
-    bool is_array() const { return std::holds_alternative<JsonArray>(v); }
-    bool is_string() const { return std::holds_alternative<std::string>(v); }
-    bool is_number() const { return std::holds_alternative<double>(v); }
 
     const JsonObject& obj() const { return std::get<JsonObject>(v); }
     const JsonArray& arr() const { return std::get<JsonArray>(v); }

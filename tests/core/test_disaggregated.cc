@@ -153,8 +153,6 @@ TEST(DisaggregatedOnline, OverlappingTransfersQueueOnTheFabric)
     const auto met =
         sys.run_workload({{0.0, 2048, 16}, {0.0, 2048, 16}});
     ASSERT_EQ(met.requests().size(), 2u);
-    EXPECT_EQ(sys.stats().transfers, 2);
-    EXPECT_NEAR(sys.stats().link_busy_seconds, 2.0 * delta, 0.01 * delta);
 
     // The second decode cannot start until the link frees: completions
     // are one full transfer apart.

@@ -177,8 +177,6 @@ TEST(CancelStream, DuringRetryBackoffCountsAsCancelledNotLost)
     Router router(replicas(1));
     ResilienceOptions res;
     res.max_retries = 8;
-    res.backoff_base = 1.0;
-    res.backoff_cap = 1.0;
     router.set_faults(parse_fault_spec("fail:engine=0,at=0.005,recover=1.5"),
                       res);
     router.set_cancellations({{9, 0.5}});
@@ -486,10 +484,10 @@ TEST(Lifecycle, EveryCounterMatchesItsRegistrySeriesInOneReplay)
     obs::MetricsRegistry* prev =
         obs::MetricsRegistry::set_thread_override(&reg);
 
-    // Queues on four throttled replicas, one straggler, a degraded
-    // interconnect, a drain that resumes, a partial outage (retries and
-    // shedding below the watermark) and a full one (retries exhausted),
-    // plus hedges, breakers, cancels and tight deadlines.
+    // Queues on four throttled replicas, one straggler, a drain that
+    // resumes, a partial outage (retries and shedding below the
+    // watermark) and a full one (retries exhausted), plus hedges,
+    // breakers, cancels and tight deadlines.
     constexpr int kRequests = 400;
     auto reqs = steady_arrivals(kRequests, 0.005);
     for (std::size_t i = 0; i < reqs.size(); i += 7)
@@ -501,7 +499,6 @@ TEST(Lifecycle, EveryCounterMatchesItsRegistrySeriesInOneReplay)
     res.shed_watermark = 0.8;
     router.set_faults(
         parse_fault_spec("straggle:engine=0,at=0,until=0.3,slow=4;"
-                         "degrade:at=0.1,until=0.3,factor=2;"
                          "drain:engine=1,at=0.2,resume=0.4;"
                          "fail:engine=2,at=0.5,recover=0.8;"
                          "fail:engine=0,at=1.5,recover=1.9;"
@@ -537,7 +534,6 @@ TEST(Lifecycle, EveryCounterMatchesItsRegistrySeriesInOneReplay)
         {"failures", fs.failures},
         {"recoveries", fs.recoveries},
         {"straggles", fs.straggles},
-        {"degrades", fs.degrades},
         {"dropped", fs.dropped},
         {"retries", fs.retries},
         {"lost", fs.lost},
@@ -557,7 +553,6 @@ TEST(Lifecycle, EveryCounterMatchesItsRegistrySeriesInOneReplay)
         {{"shiftpar_fault_transitions_total", "recovery"}, fs.recoveries},
         {{"shiftpar_fault_transitions_total", "straggle"}, fs.straggles},
         {{"shiftpar_fault_transitions_total", "drain"}, os.drains},
-        {{"shiftpar_fault_transitions_total", "degrade"}, fs.degrades},
         {{"shiftpar_request_outcome_total", "completed"}, os.completed},
         {{"shiftpar_request_outcome_total", "expired"}, os.expired},
         {{"shiftpar_request_outcome_total", "cancelled"}, os.cancelled},

@@ -151,8 +151,6 @@ run_chaos(std::uint64_t seed)
         spec += ",resume=" + std::to_string(horizon);
     engine::ResilienceOptions res;
     res.max_retries = static_cast<int>(rng.uniform_int(2, 6));
-    res.backoff_base = rng.uniform(0.05, 0.3);
-    res.backoff_cap = rng.uniform(0.5, 2.0);
     router.set_faults(fault::parse_fault_spec(spec), res);
 
     const auto met = router.run_workload(reqs);

@@ -83,8 +83,8 @@ faulted_sweep(int jobs, obs::ReportJson* report_sink,
         // Fail one replica mid-replay (recovering later), so retries /
         // sheds / losses hit the metrics registry from worker threads.
         d.faults.events.push_back(
-            {fault::FaultKind::kFail, static_cast<int>(i % 2), -1, 0.5,
-             6.0, 1.0});
+            {fault::FaultKind::kFail, static_cast<int>(i % 2), 0.5, 6.0,
+             1.0});
         auto reqs = workload::uniform_batch(6, 500, 150);
         Rng rng(100 + static_cast<std::uint64_t>(i));
         const auto tail = workload::make_requests(

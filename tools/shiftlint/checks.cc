@@ -261,8 +261,8 @@ class UnorderedEmitCheck final : public Check
 /**
  * Check 3: trace-span balance (whole-corpus).
  *
- * Paired trace emissions (straggle start/end, link degrade/restore, and
- * any kBeginX/kEndX convention) must both be emitted *somewhere in the
+ * Paired trace emissions (straggle start/end, drain start/end, and any
+ * kBeginX/kEndX convention) must both be emitted *somewhere in the
  * linted corpus* — a begin whose end exists nowhere renders as an
  * unterminated span and breaks span-based analysis. Pairing is resolved
  * corpus-wide, not per TU: a span legitimately opened in `router.cc` and
@@ -293,7 +293,6 @@ class TraceSpanBalanceCheck final : public Check
         const Corpus& corpus = ctx.corpus;
         static const std::pair<const char*, const char*> kPairs[] = {
             {"kStraggleStart", "kStraggleEnd"},
-            {"kLinkDegrade", "kLinkRestore"},
             {"kDrainStart", "kDrainEnd"},
         };
 

@@ -67,7 +67,7 @@ main(int argc, char** argv)
         d.strategy = parallel::Strategy::kDp;
         d.trace = &trace;
         d.faults.events.push_back(
-            {fault::FaultKind::kFail, 0, -1, 0.5, 20.0, 1.0});
+            {fault::FaultKind::kFail, 0, 0.5, 20.0, 1.0});
         trace.set_run_label("faulted-dp");
         // A t=0 batch keeps every replica busy past the fail point, so
         // the fail-stop is guaranteed to drop in-flight requests and the
@@ -92,7 +92,7 @@ main(int argc, char** argv)
         // actually expire, and the drain has waiting work to hand back.
         d.sched.max_running_seqs = 4;
         d.faults.events.push_back(
-            {fault::FaultKind::kDrain, 1, -1, 0.75, 8.0, 1.0});
+            {fault::FaultKind::kDrain, 1, 0.75, 8.0, 1.0});
         trace.set_run_label("overload-dp");
         auto reqs = workload::uniform_batch(64, 600, 160);
         Rng rng(47);
