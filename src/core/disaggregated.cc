@@ -123,14 +123,14 @@ DisaggregatedSystem::run_workload(
         const double bytes =
             static_cast<double>(sorted[i].prompt_tokens + 1) *
             model_.kv_bytes_per_token();
-        const auto win = fabric.reserve(t, bytes);
-        cluster.post(win.end, [&, i, win] {
+        const double lands = fabric.reserve(t, bytes);
+        cluster.post(lands, [&, i, lands] {
             engine::RequestSpec ds = sorted[i];
-            ds.arrival = win.end;
-            decode->advance_clock_to(win.end);
+            ds.arrival = lands;
+            decode->advance_clock_to(lands);
             decode->submit_prefilled(ds, static_cast<engine::RequestId>(i));
             if (opts_.trace) {
-                opts_.trace->on_instant(prefill->trace_id(), win.end,
+                opts_.trace->on_instant(prefill->trace_id(), lands,
                                         "kv_handoff #" + std::to_string(i));
             }
         });

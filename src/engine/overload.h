@@ -126,15 +126,6 @@ struct OverloadStats
     std::int64_t drains = 0;         ///< graceful drains started
     std::int64_t drained = 0;        ///< waiting requests handed back
     std::int64_t drain_resumes = 0;  ///< drained engines re-admitted
-
-    /** @return true when any counter is non-zero. */
-    bool
-    any() const
-    {
-        return (completed | expired | cancelled | hedges | hedge_wins |
-                hedge_losses | breaker_opens | breaker_probes |
-                breaker_closes | drains | drained | drain_resumes) != 0;
-    }
 };
 
 } // namespace shiftpar::engine

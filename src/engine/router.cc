@@ -107,6 +107,8 @@ Router::rebalance(double t)
     // step overshoot as idle time either.
     engines_[idlest]->advance_clock_to(t);
     engines_[idlest]->submit(spec, id, /*migrated_in=*/true);
+    flights_[static_cast<std::size_t>(logical_request_id(id))].at(id) =
+        static_cast<int>(idlest);
     ++migrations_;
     publish(engines_[idlest]->trace_id(), id, obs::RequestPhase::kMigrated, t,
             spec.prompt_tokens);
@@ -163,21 +165,16 @@ Router::sync_clocks(double t)
 bool
 Router::cancel_copy(RequestId id)
 {
-    for (auto& e : engines_) {
-        if (e->cancel(id))
-            return true;
-    }
-    return false;
+    const int at =
+        flights_[static_cast<std::size_t>(logical_request_id(id))].at(id);
+    return at >= 0 && engines_[static_cast<std::size_t>(at)]->cancel(id);
 }
 
 Router::Flight&
 Router::retire_copy(RequestId id)
 {
     Flight& f = flights_[static_cast<std::size_t>(logical_request_id(id))];
-    if (is_hedge_clone(id))
-        f.clone_live = false;
-    else
-        f.primary_live = false;
+    f.at(id) = -1;
     clear_breaker_probe(id);
     return f;
 }
@@ -222,7 +219,7 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
     Flight& f = retire_copy(id);
     if (f.outcome != FlightOutcome::kInFlight)
         return;  // settled while this copy was being dropped
-    const bool other_lives = clone ? f.primary_live : f.clone_live;
+    const bool other_lives = (clone ? f.primary_at : f.clone_at) >= 0;
     if (f.hedged && other_lives) {
         // One hedge copy dropped but its sibling lives on: the sibling
         // carries the flight, no retry needed.
@@ -498,12 +495,8 @@ Router::export_counters(bool report_outcomes) const
 void
 Router::note_submit(std::size_t pick, RequestId id)
 {
-    Flight& f =
-        flights_[static_cast<std::size_t>(logical_request_id(id))];
-    if (is_hedge_clone(id))
-        f.clone_live = true;
-    else
-        f.primary_live = true;
+    flights_[static_cast<std::size_t>(logical_request_id(id))].at(id) =
+        static_cast<int>(pick);
     if (!breakers_.empty()) {
         Breaker& b = breakers_[pick];
         if (b.state == Breaker::State::kHalfOpen && b.probe < 0) {
@@ -548,7 +541,7 @@ Router::on_lifecycle_finish(std::size_t idx, const Request& r)
                 obs::RequestPhase::kHedgeWon, r.finished);
         const RequestId loser =
             clone ? logical : logical + kHedgeIdOffset;
-        const bool loser_live = clone ? f.primary_live : f.clone_live;
+        const bool loser_live = (clone ? f.primary_at : f.clone_at) >= 0;
         if (loser_live) {
             // The loser is cancelled by an event, not inline: this hook
             // runs inside the winner engine's step, and yanking a
@@ -569,7 +562,7 @@ Router::settle_expired(RequestId id)
     Flight& f = retire_copy(id);
     if (f.outcome != FlightOutcome::kInFlight)
         return;
-    if (f.primary_live || f.clone_live)
+    if (f.primary_at >= 0 || f.clone_at >= 0)
         return;  // the other hedge copy is still in flight
     settle(f, FlightOutcome::kExpired);
 }
@@ -582,8 +575,7 @@ Router::do_cancel(RequestId id, double t)
         return;  // finished/expired/lost/shed before the abort arrived
     sync_clocks(t);
     const bool closed = cancel_copy(id);
-    if (f.clone_live)
-        cancel_copy(id + kHedgeIdOffset);
+    cancel_copy(id + kHedgeIdOffset);
     if (!closed) {
         // Retry limbo: the request is on no engine right now (dropped by
         // a failure, waiting out its backoff). The pending retry closure
@@ -602,20 +594,14 @@ Router::maybe_hedge(const RequestSpec& spec, RequestId id, double when)
 {
     Flight& f = flights_[static_cast<std::size_t>(id)];
     if (f.outcome != FlightOutcome::kInFlight || f.hedged ||
-        !f.primary_live)
+        f.primary_at < 0)
         return;
     // Hedge only while the primary has zero sunk work: once a chunk was
     // scheduled, duplicating it would burn two replicas' compute on one
     // answer.
-    std::size_t holder = engines_.size();
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (engines_[i]->queued_unscheduled(id)) {
-            holder = i;
-            break;
-        }
-    }
-    if (holder == engines_.size())
-        return;  // already scheduled (or in retry limbo): too late
+    const auto holder = static_cast<std::size_t>(f.primary_at);
+    if (!engines_[holder]->queued_unscheduled(id))
+        return;  // already scheduled: too late
     update_breakers(when);
     // Least-loaded other replica that can take the clone.
     std::size_t target = engines_.size();
@@ -652,7 +638,7 @@ Router::resolve_hedge_loser(RequestId logical, RequestId loser,
 {
     Flight& f = flights_[static_cast<std::size_t>(logical)];
     const bool clone = is_hedge_clone(loser);
-    if (!(clone ? f.clone_live : f.primary_live))
+    if ((clone ? f.clone_at : f.primary_at) < 0)
         return;  // resolved in the meantime (raced finish or a drop)
     sync_clocks(when);
     // Marker first so it lands inside the loser's still-open span; the

@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -230,7 +231,8 @@ class Router
     /** Advance every replica's clock to `t`. */
     void sync_clocks(double t);
 
-    /** Cancel copy `id` wherever it is; @return false when nowhere. */
+    /** Cancel copy `id` on the replica holding it; @return false when
+     *  it is on none. */
     bool cancel_copy(RequestId id);
 
     /** Post the materialized fault schedule onto the replay timeline. */
@@ -259,7 +261,7 @@ class Router
     // ---- Request lifecycle (deadlines / cancels / hedges / breakers) ----
 
     /** Terminal settlement of one logical request during a replay. */
-    enum class FlightOutcome
+    enum class FlightOutcome : std::uint8_t
     {
         kInFlight,   ///< not settled yet
         kCompleted,  ///< some copy finished
@@ -273,10 +275,18 @@ class Router
     struct Flight
     {
         FlightOutcome outcome = FlightOutcome::kInFlight;
-        int attempts = 0;           ///< fault retries so far
-        bool hedged = false;        ///< a clone copy was submitted
-        bool primary_live = false;  ///< primary copy sits on some replica
-        bool clone_live = false;    ///< hedge clone sits on some replica
+        bool hedged = false;  ///< a clone copy was submitted
+        int attempts = 0;     ///< fault retries so far
+        /** The replica each live copy was last submitted to, the only one
+         *  that can hold it; −1 while the copy sits on none. */
+        int primary_at = -1;
+        int clone_at = -1;
+
+        /** @return the holder slot of copy `id` of this request. */
+        int& at(RequestId id)
+        {
+            return is_hedge_clone(id) ? clone_at : primary_at;
+        }
     };
 
     /** Per-replica circuit-breaker state machine. */

@@ -60,7 +60,10 @@ Scheduler::Scheduler(SchedulerOptions opts, kvcache::CacheManager* cache)
     SP_ASSERT(cache != nullptr);
     SP_ASSERT(opts_.max_batched_tokens >= 1 && opts_.max_running_seqs >= 1);
     SP_ASSERT(opts_.decode_tokens_per_step >= 1);
-    group_.classes.assign(static_cast<std::size_t>(cache_->block_size()), 0);
+    const std::int64_t bs = cache_->block_size();
+    group_.classes.assign(static_cast<std::size_t>(bs), 0);
+    k_blocks_ = opts_.decode_tokens_per_step / bs;
+    k_rem_ = opts_.decode_tokens_per_step % bs;
 }
 
 void
@@ -705,7 +708,11 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
         // read by 2k.
         const std::int64_t tokens = group_.work.decodes.tokens;
         ++group_.epoch;
-        group_.shift = (group_.shift + k) % std::ssize(group_.classes);
+        // (shift + k) mod bs: shift and k mod bs are both below bs, so one
+        // subtract reduces their sum.
+        group_.shift += k_rem_;
+        if (group_.shift >= std::ssize(group_.classes))
+            group_.shift -= std::ssize(group_.classes);
         outstanding_ -= tokens;
         group_.work.decodes.pairs += k * tokens;
         group_.work.decodes.read2 += 2 * tokens;
@@ -840,11 +847,15 @@ Scheduler::group_blocks() const
     // Appending k tokens from s takes ⌊k/bs⌋ blocks, plus one more when s
     // is 0 or above bs - (k mod bs): the k mod bs residues (bs - j) mod
     // bs, j < k mod bs.
+    // Walk c = (−j − shift) mod bs down from (−shift) mod bs, wrapping
+    // from 0 to bs − 1 (0 ≤ shift < bs, so one subtract per step).
     const std::int64_t bs = std::ssize(group_.classes);
-    const std::int64_t k = opts_.decode_tokens_per_step;
-    std::int64_t blocks = group_.work.decodes.seqs * (k / bs);
-    for (std::int64_t j = 0; j < k % bs; ++j)
-        blocks += group_.classes[(2 * bs - j - group_.shift) % bs];
+    std::int64_t blocks = group_.work.decodes.seqs * k_blocks_;
+    std::int64_t c = group_.shift == 0 ? 0 : bs - group_.shift;
+    for (std::int64_t j = 0; j < k_rem_; ++j) {
+        blocks += group_.classes[static_cast<std::size_t>(c)];
+        c = c == 0 ? bs - 1 : c - 1;
+    }
     return blocks;
 }
 

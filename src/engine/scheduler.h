@@ -388,6 +388,9 @@ class Scheduler
 
     SchedulerOptions opts_;
     kvcache::CacheManager* cache_;
+    /** decode_tokens_per_step in whole KV blocks and the tokens left over. */
+    std::int64_t k_blocks_ = 0;
+    std::int64_t k_rem_ = 0;
     std::deque<Request*> waiting_;   // descending class, FCFS within
     std::vector<Request*> running_;  // admission order
     /** Waiting requests already prefilled (migrated-in decode work). */

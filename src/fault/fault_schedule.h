@@ -121,13 +121,6 @@ struct FaultStats
     std::int64_t retries = 0;     ///< re-route attempts scheduled
     std::int64_t lost = 0;        ///< requests dropped permanently
     std::int64_t shed = 0;        ///< arrivals rejected while degraded
-
-    /** @return true when any counter is non-zero. */
-    bool any() const
-    {
-        return failures | recoveries | straggles | dropped | retries |
-               lost | shed;
-    }
 };
 
 } // namespace shiftpar::fault

@@ -1,9 +1,5 @@
 #include "hw/gpu.h"
 
-#include <algorithm>
-
-#include "util/logging.h"
-
 namespace shiftpar::hw {
 
 double
@@ -19,16 +15,6 @@ GpuSpec::effective_attn_flops(double dtype_bytes) const
 {
     const double peak = dtype_bytes <= 1.0 ? peak_fp8_flops : peak_fp16_flops;
     return peak * attn_efficiency;
-}
-
-double
-GpuSpec::kernel_time(double flops, double bytes, double compute_rate) const
-{
-    SP_ASSERT(compute_rate > 0.0 && effective_bw() > 0.0);
-    SP_ASSERT(flops >= 0.0 && bytes >= 0.0);
-    const double compute = flops / compute_rate;
-    const double memory = bytes / effective_bw();
-    return std::max(compute, memory) + kernel_overhead;
 }
 
 } // namespace shiftpar::hw

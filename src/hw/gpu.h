@@ -13,7 +13,10 @@
 
 #pragma once
 
+#include <algorithm>
 #include <string>
+
+#include "util/logging.h"
 
 namespace shiftpar::hw {
 
@@ -63,14 +66,22 @@ struct GpuSpec
     double effective_bw() const { return hbm_bw * mem_efficiency; }
 
     /**
-     * Roofline time for one fused kernel region.
+     * Roofline time for one fused kernel region (inline: the step-cost
+     * models call it several times per simulated step).
      *
      * @param flops Arithmetic work in FLOPs.
      * @param bytes HBM traffic in bytes (weights + activations + cache).
      * @param compute_rate Achievable FLOP/s (use one of the helpers above).
      * @return max(compute, memory) time + launch overhead, seconds.
      */
-    double kernel_time(double flops, double bytes, double compute_rate) const;
+    double kernel_time(double flops, double bytes, double compute_rate) const
+    {
+        SP_ASSERT(compute_rate > 0.0 && effective_bw() > 0.0);
+        SP_ASSERT(flops >= 0.0 && bytes >= 0.0);
+        const double compute = flops / compute_rate;
+        const double memory = bytes / effective_bw();
+        return std::max(compute, memory) + kernel_overhead;
+    }
 };
 
 } // namespace shiftpar::hw

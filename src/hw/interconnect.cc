@@ -18,13 +18,7 @@ CollectiveModel::all_reduce(double bytes, int nranks) const
     SP_ASSERT(bytes >= 0.0 && nranks >= 1);
     if (nranks == 1)
         return 0.0;
-    const double p = static_cast<double>(nranks);
-    const double vol = all_reduce_volume(bytes, nranks);
-    // Ring: 2(P-1) latency steps. Switch fabric: reduce-scatter + all-gather,
-    // two phases of simultaneous exchange.
-    const double steps =
-        link_.kind == FabricKind::kRing ? 2.0 * (p - 1.0) : 2.0;
-    return vol / link_.effective_bw() + steps * link_.latency;
+    return all_reduce_cost(nranks).seconds(bytes);
 }
 
 double
@@ -33,10 +27,7 @@ CollectiveModel::all_gather(double bytes, int nranks) const
     SP_ASSERT(bytes >= 0.0 && nranks >= 1);
     if (nranks == 1)
         return 0.0;
-    const double p = static_cast<double>(nranks);
-    const double vol = all_gather_volume(bytes, nranks);
-    const double steps = link_.kind == FabricKind::kRing ? (p - 1.0) : 1.0;
-    return vol / link_.effective_bw() + steps * link_.latency;
+    return all_gather_cost(nranks).seconds(bytes);
 }
 
 double
@@ -52,12 +43,44 @@ CollectiveModel::all_to_all(double bytes, int nranks) const
     SP_ASSERT(bytes >= 0.0 && nranks >= 1);
     if (nranks == 1)
         return 0.0;
+    return all_to_all_cost(nranks).seconds(bytes);
+}
+
+// Each cost's factor is the wire volume of a one-byte payload.
+
+CollectiveCost
+CollectiveModel::all_reduce_cost(int nranks) const
+{
+    SP_ASSERT(nranks > 1);
     const double p = static_cast<double>(nranks);
-    const double vol = all_to_all_volume(bytes, nranks);
+    // Ring: 2(P-1) latency steps. Switch fabric: reduce-scatter + all-gather,
+    // two phases of simultaneous exchange.
+    const double steps =
+        link_.kind == FabricKind::kRing ? 2.0 * (p - 1.0) : 2.0;
+    return {all_reduce_volume(1.0, nranks), steps * link_.latency,
+            link_.effective_bw()};
+}
+
+CollectiveCost
+CollectiveModel::all_gather_cost(int nranks) const
+{
+    SP_ASSERT(nranks > 1);
+    const double p = static_cast<double>(nranks);
+    const double steps = link_.kind == FabricKind::kRing ? (p - 1.0) : 1.0;
+    return {all_gather_volume(1.0, nranks), steps * link_.latency,
+            link_.effective_bw()};
+}
+
+CollectiveCost
+CollectiveModel::all_to_all_cost(int nranks) const
+{
+    SP_ASSERT(nranks > 1);
+    const double p = static_cast<double>(nranks);
     // On a switch all pairwise exchanges proceed simultaneously (one phase);
     // a ring serializes P-1 neighbor rounds.
     const double steps = link_.kind == FabricKind::kRing ? (p - 1.0) : 1.0;
-    return vol / link_.effective_bw() + steps * link_.latency;
+    return {all_to_all_volume(1.0, nranks), steps * link_.latency,
+            link_.effective_bw()};
 }
 
 double
@@ -101,12 +124,11 @@ LinkChannel::occupancy(double bytes) const
     return bytes / link_.effective_bw() + link_.latency;
 }
 
-LinkChannel::Window
+double
 LinkChannel::reserve(double t, double bytes)
 {
-    const double start = std::max(t, busy_until_);
-    busy_until_ = start + occupancy(bytes);
-    return {start, busy_until_};
+    busy_until_ = std::max(t, busy_until_) + occupancy(bytes);
+    return busy_until_;
 }
 
 } // namespace shiftpar::hw

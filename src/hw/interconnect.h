@@ -22,6 +22,8 @@
 
 #include <string>
 
+#include "util/logging.h"
+
 namespace shiftpar::hw {
 
 /** Collective algorithm family (fabric type). */
@@ -45,6 +47,24 @@ struct LinkSpec
 
     /** @return achievable bytes/s. */
     double effective_bw() const { return bw * efficiency; }
+};
+
+/**
+ * The alpha-beta terms of one collective over one group of more than one
+ * rank, fixed by the fabric and the group size; only the payload varies.
+ */
+struct CollectiveCost
+{
+    double factor = 0.0;   ///< per-rank wire bytes per payload byte
+    double latency = 0.0;  ///< latency steps × per-step latency, seconds
+    double bw = 0.0;       ///< achievable link bytes/s
+
+    /** @return seconds to move a `bytes` payload. */
+    double seconds(double bytes) const
+    {
+        SP_ASSERT(bytes >= 0.0);
+        return factor * bytes / bw + latency;
+    }
 };
 
 /**
@@ -77,6 +97,15 @@ class CollectiveModel
     /** Time for an all-to-all with `bytes` local buffer per rank, seconds. */
     double all_to_all(double bytes, int nranks) const;
 
+    /** Terms of an all-reduce across `nranks` > 1. */
+    CollectiveCost all_reduce_cost(int nranks) const;
+
+    /** Terms of an all-gather (and a reduce-scatter) across `nranks` > 1. */
+    CollectiveCost all_gather_cost(int nranks) const;
+
+    /** Terms of an all-to-all across `nranks` > 1. */
+    CollectiveCost all_to_all_cost(int nranks) const;
+
     /**
      * Per-rank wire volume of an all-reduce (Table 2 accounting), bytes.
      * Ring all-reduce sends 2(P-1)/P of the tensor per rank.
@@ -105,19 +134,14 @@ class LinkChannel
     /** Fatal when the link has no usable bandwidth. */
     explicit LinkChannel(LinkSpec link);
 
-    /** Occupancy window of one reservation on the link. */
-    struct Window
-    {
-        double start = 0.0;
-        double end = 0.0;
-    };
-
     /**
      * Reserve the link for a `bytes`-sized transfer requested at time `t`.
      * The transfer starts at `max(t, busy_until())` and occupies the link
      * for `occupancy(bytes)` seconds; the link is busy until its end.
+     *
+     * @return the time the transfer ends.
      */
-    Window reserve(double t, double bytes);
+    double reserve(double t, double bytes);
 
     /** @return the time the link next frees up (0 when never used). */
     double busy_until() const { return busy_until_; }

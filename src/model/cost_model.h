@@ -144,9 +144,12 @@ CostModelKind parse_cost_model_kind(const std::string& s);
 /**
  * Evaluates step timings for one engine group on one node.
  *
- * Implementations are constructed per (node, model) pair, are stateless
- * across calls, and must be safe to query from the sweep runner's worker
- * threads. The engine owns one instance per replica.
+ * Implementations are constructed per (node, model) pair. An instance
+ * belongs to one engine or caller thread: `evaluate` is `const`, but an
+ * implementation may fill a per-configuration cache on first use
+ * (`parallel::PerfModel` does), so one instance must not be queried from
+ * two threads at once. The engine owns one instance per replica, and the
+ * sweep runner's workers each build their own engines.
  */
 class CostModel
 {

@@ -11,6 +11,9 @@
  *  - Causal masking is accounted exactly: token i of a chunk attends to
  *    `past + i + 1` positions. Attention is priced per phase from the
  *    exact integer sums in `PhaseWork`.
+ *
+ * The per-step formulas are inline: the step-cost models call them on
+ * every simulated step.
  */
 
 #pragma once
@@ -23,25 +26,50 @@
 namespace shiftpar::model {
 
 /** QKV projection FLOPs for `n` tokens, one layer (GQA-aware). */
-double qkv_flops(const ModelConfig& m, double n);
+inline double
+qkv_flops(const ModelConfig& m, double n)
+{
+    const double out_dim = (m.q_heads + 2.0 * m.kv_heads) * m.head_dim;
+    return 2.0 * n * m.hidden_size * out_dim;
+}
 
 /** Output (O) projection FLOPs for `n` tokens, one layer. */
-double o_flops(const ModelConfig& m, double n);
+inline double
+o_flops(const ModelConfig& m, double n)
+{
+    return 2.0 * n * m.q_heads * m.head_dim * m.hidden_size;
+}
 
 /** MLP FLOPs for `n` tokens, one layer (active experts only for MoE). */
-double mlp_flops(const ModelConfig& m, double n);
+inline double
+mlp_flops(const ModelConfig& m, double n)
+{
+    return 2.0 * n * m.mlp_active_params_per_layer();
+}
 
 /** All per-layer GEMM FLOPs (QKV + O + MLP) for `n` tokens. */
-double layer_gemm_flops(const ModelConfig& m, double n);
+inline double
+layer_gemm_flops(const ModelConfig& m, double n)
+{
+    return qkv_flops(m, n) + o_flops(m, n) + mlp_flops(m, n);
+}
 
 /** LM-head FLOPs for `n` sampled positions. */
-double lm_head_flops(const ModelConfig& m, double n);
+inline double
+lm_head_flops(const ModelConfig& m, double n)
+{
+    return 2.0 * n * m.hidden_size * m.vocab_size;
+}
 
 /**
  * Causal attention FLOPs for one phase of a step, one layer: QK^T and PV
  * each cost 2 * d_h FLOPs per (query head, key) pair.
  */
-double attn_flops(const ModelConfig& m, const PhaseWork& p);
+inline double
+attn_flops(const ModelConfig& m, const PhaseWork& p)
+{
+    return 4.0 * m.q_heads * m.head_dim * static_cast<double>(p.pairs);
+}
 
 /**
  * KV-cache bytes *read* by one phase's attention, one layer, all KV heads.
@@ -52,10 +80,18 @@ double attn_flops(const ModelConfig& m, const PhaseWork& p);
  * are read from registers/SMEM as they are produced, so each chunk is
  * charged its cached `past` plus half the chunk (`PhaseWork::read2`).
  */
-double kv_read_bytes(const ModelConfig& m, const PhaseWork& p);
+inline double
+kv_read_bytes(const ModelConfig& m, const PhaseWork& p)
+{
+    return static_cast<double>(p.read2) / 2.0 * m.kv_bytes_per_token_layer();
+}
 
 /** KV-cache bytes written by one phase, one layer, all KV heads. */
-double kv_write_bytes(const ModelConfig& m, const PhaseWork& p);
+inline double
+kv_write_bytes(const ModelConfig& m, const PhaseWork& p)
+{
+    return static_cast<double>(p.tokens) * m.kv_bytes_per_token_layer();
+}
 
 /**
  * Weight bytes read from HBM in one layer to process a batch of
@@ -74,7 +110,15 @@ double layer_dense_weight_bytes(const ModelConfig& m);
 /** Expert weight bytes read per layer for `batch_tokens` (0 for dense). */
 double layer_expert_read_bytes(const ModelConfig& m, double batch_tokens);
 
-/** Activation bytes streamed per layer for `n` tokens (read + write). */
-double layer_activation_bytes(const ModelConfig& m, double n);
+/**
+ * Activation bytes streamed per layer for `n` tokens: a rough read+write
+ * of the hidden stream around each of the four GEMM regions, at BF16
+ * activation width.
+ */
+inline double
+layer_activation_bytes(const ModelConfig& m, double n)
+{
+    return 8.0 * n * m.hidden_size * dtype_bytes(DType::kBf16);
+}
 
 } // namespace shiftpar::model

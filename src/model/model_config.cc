@@ -27,17 +27,6 @@ ModelConfig::mlp_params_per_layer() const
 }
 
 double
-ModelConfig::mlp_active_params_per_layer() const
-{
-    const double per_expert =
-        3.0 * static_cast<double>(hidden_size) * intermediate_size;
-    if (!is_moe())
-        return per_expert;
-    const double router = static_cast<double>(hidden_size) * num_experts;
-    return per_expert * active_experts + router;
-}
-
-double
 ModelConfig::embedding_params() const
 {
     // Untied input embedding + LM head.

@@ -74,7 +74,15 @@ struct ModelConfig
     double mlp_params_per_layer() const;
 
     /** MLP parameters activated per token in one layer. */
-    double mlp_active_params_per_layer() const;
+    double mlp_active_params_per_layer() const
+    {
+        const double per_expert =
+            3.0 * static_cast<double>(hidden_size) * intermediate_size;
+        if (!is_moe())
+            return per_expert;
+        const double router = static_cast<double>(hidden_size) * num_experts;
+        return per_expert * active_experts + router;
+    }
 
     /** Embedding + LM-head parameters (untied). */
     double embedding_params() const;

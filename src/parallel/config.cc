@@ -29,8 +29,8 @@ kv_replication(const model::ModelConfig& m, const ParallelConfig& cfg)
 std::string
 validate_config(const model::ModelConfig& m, const ParallelConfig& cfg)
 {
-    // Messages are built only on failure: the cost models validate on
-    // every step, so the valid path must not build a stream or allocate.
+    // Messages are built only on failure: the kernel cost model validates
+    // on every step, so the valid path must not build a stream or allocate.
     using detail::concat;
     if (cfg.sp < 1 || cfg.tp < 1)
         return concat("parallel degrees must be >= 1, got ", cfg.to_string());

@@ -12,6 +12,58 @@ PerfModel::PerfModel(hw::Node node, model::ModelConfig m, PerfOptions opts)
       coll_(node_.link)
 {
     model_.validate();
+    gemm_rate_ =
+        node_.gpu.effective_gemm_flops(model::dtype_bytes(model_.weight_dtype));
+    attn_rate_ =
+        node_.gpu.effective_attn_flops(model::dtype_bytes(model_.kv_dtype));
+}
+
+const PerfModel::ConfigTerms&
+PerfModel::terms(const ParallelConfig& cfg, bool sliced) const
+{
+    for (const ConfigTerms& c : table_) {
+        if (c.cfg == cfg && c.sliced == sliced)
+            return c;
+    }
+    validate_config_or_die(model_, cfg);
+    SP_ASSERT(cfg.world() <= node_.num_gpus,
+              "configuration exceeds node size");
+
+    const model::ModelConfig& m = model_;
+    const int g = cfg.world();
+    const double wbytes = model::dtype_bytes(m.weight_dtype);
+
+    ConfigTerms c;
+    c.cfg = cfg;
+    c.sliced = sliced;
+    c.rep = kv_replication(m, cfg);
+    if (opts_.engine_overhead) {
+        c.overhead = opts_.step_overhead_base +
+                     opts_.step_overhead_per_rank * (g - 1);
+    }
+    c.dense_pg = model::layer_dense_weight_bytes(m) / cfg.tp;
+    if (sliced) {
+        // On-the-fly slicing transposes each shard before use (FP8 Hopper
+        // limitation, Section 3.3.2) — modeled as extra weight traffic.
+        c.weight_scale = 1.0 + opts_.slicing_overhead_frac;
+    }
+    c.head_bytes =
+        static_cast<double>(m.vocab_size) * m.hidden_size * wbytes / g;
+    if (cfg.tp > 1)
+        c.tp_all_reduce = coll_.all_reduce_cost(cfg.tp);
+    if (cfg.sp > 1) {
+        c.sp_all_to_all = coll_.all_to_all_cost(cfg.sp);
+        c.sp_all_gather = coll_.all_gather_cost(cfg.sp);
+        // GQA replaces 3h with h + 2*h_kv (Section 3.2.1); replication
+        // inflates the KV part.
+        c.qkv_cols =
+            (m.q_heads + 2.0 * m.kv_heads * c.rep) * m.head_dim / cfg.tp;
+        c.o_cols = static_cast<double>(m.q_heads) * m.head_dim / cfg.tp;
+    }
+    if (m.is_moe() && cfg.ep > 1)
+        c.ep_all_to_all = coll_.all_to_all_cost(cfg.ep);
+    table_.push_back(c);
+    return table_.back();
 }
 
 StepTiming
@@ -19,21 +71,13 @@ PerfModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
                     bool sliced_weights,
                     std::vector<KernelCost>* breakdown) const
 {
-    validate_config_or_die(model_, cfg);
-    SP_ASSERT(cfg.world() <= node_.num_gpus,
-              "configuration exceeds node size");
-
+    const ConfigTerms& c = terms(cfg, sliced_weights);
     const model::ModelConfig& m = model_;
     const int g = cfg.world();
-    const int rep = kv_replication(m, cfg);
-    const double wbytes = model::dtype_bytes(m.weight_dtype);
     const double act_b = opts_.act_bytes;
 
     StepTiming t;
-    if (opts_.engine_overhead) {
-        t.overhead = opts_.step_overhead_base +
-                     opts_.step_overhead_per_rank * (g - 1);
-    }
+    t.overhead = c.overhead;
 
     // Report the four aggregates as pseudo-kernels; the roofline model has
     // no finer granularity. Deferred to one exit path so every early
@@ -83,20 +127,15 @@ PerfModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
         g;
     // Expert weights are additionally spread over the EP dimension
     // (Section 4.6 extension): each rank streams only its local experts.
-    double weight_read_pg =
-        model::layer_dense_weight_bytes(m) / cfg.tp +
-        model::layer_expert_read_bytes(m, static_cast<double>(n)) /
-            (cfg.tp * cfg.ep);
-    if (sliced_weights) {
-        // On-the-fly slicing transposes each shard before use (FP8 Hopper
-        // limitation, Section 3.3.2) — modeled as extra weight traffic.
-        weight_read_pg *= 1.0 + opts_.slicing_overhead_frac;
-    }
+    const double weight_read_pg =
+        (c.dense_pg +
+         model::layer_expert_read_bytes(m, static_cast<double>(n)) /
+             (cfg.tp * cfg.ep)) *
+        c.weight_scale;
     const double act_bytes_pg =
         model::layer_activation_bytes(m, static_cast<double>(n)) / g;
     const double gemm_layer = node_.gpu.kernel_time(
-        gemm_flops_pg, weight_read_pg + act_bytes_pg,
-        node_.gpu.effective_gemm_flops(wbytes));
+        gemm_flops_pg, weight_read_pg + act_bytes_pg, gemm_rate_);
 
     // ---- Attention, per layer per GPU -----------------------------------
     // Heads are sharded across the whole group (identically under base and
@@ -113,28 +152,22 @@ PerfModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
         (swiftkv * model::kv_read_bytes(m, pre) +
          model::kv_write_bytes(m, pre));
     const double attn_flops_pg = attn_flops / g;
-    const double kv_traffic_pg = kv_traffic * rep / g;
-    const double attn_layer = node_.gpu.kernel_time(
-        attn_flops_pg, kv_traffic_pg,
-        node_.gpu.effective_attn_flops(model::dtype_bytes(m.kv_dtype)));
+    const double kv_traffic_pg = kv_traffic * c.rep / g;
+    const double attn_layer =
+        node_.gpu.kernel_time(attn_flops_pg, kv_traffic_pg, attn_rate_);
 
     // ---- Communication, per layer (Algorithm 1) --------------------------
     double comm_layer = 0.0;
     if (cfg.tp > 1) {
         // Lines 8 and 11: two all-reduces of embed[n/SP, d].
         const double ar_bytes = rows * m.hidden_size * act_b;
-        comm_layer += 2.0 * coll_.all_reduce(ar_bytes, cfg.tp);
+        comm_layer += 2.0 * c.tp_all_reduce.seconds(ar_bytes);
     }
     if (cfg.sp > 1) {
-        // Line 4: all-to-all of the fused QKV heads. GQA replaces 3h with
-        // h + 2*h_kv (Section 3.2.1); replication inflates the KV part.
-        const double qkv_cols =
-            (m.q_heads + 2.0 * m.kv_heads * rep) * m.head_dim / cfg.tp;
-        comm_layer += coll_.all_to_all(rows * qkv_cols * act_b, cfg.sp);
+        // Line 4: all-to-all of the fused QKV heads.
+        comm_layer += c.sp_all_to_all.seconds(rows * c.qkv_cols * act_b);
         // Line 6: all-to-all of the attention output heads.
-        const double o_cols =
-            static_cast<double>(m.q_heads) * m.head_dim / cfg.tp;
-        comm_layer += coll_.all_to_all(rows * o_cols * act_b, cfg.sp);
+        comm_layer += c.sp_all_to_all.seconds(rows * c.o_cols * act_b);
     }
     if (m.is_moe() && cfg.ep > 1) {
         // Expert parallelism routes each token's hidden state to its
@@ -142,7 +175,7 @@ PerfModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
         // group, `active_experts` copies per token.
         const double routed =
             rows * m.active_experts * m.hidden_size * act_b / cfg.tp;
-        comm_layer += 2.0 * coll_.all_to_all(routed, cfg.ep);
+        comm_layer += 2.0 * c.ep_all_to_all.seconds(routed);
     }
 
     t.gemm = m.num_layers * gemm_layer;
@@ -152,17 +185,13 @@ PerfModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
     // ---- LM head (sampled positions only) --------------------------------
     const double sampled = static_cast<double>(work.num_seqs());
     const double head_flops = model::lm_head_flops(m, sampled) / g;
-    const double head_bytes =
-        static_cast<double>(m.vocab_size) * m.hidden_size * wbytes / g;
-    t.gemm += node_.gpu.kernel_time(head_flops, head_bytes,
-                                    node_.gpu.effective_gemm_flops(wbytes));
+    t.gemm += node_.gpu.kernel_time(head_flops, c.head_bytes, gemm_rate_);
 
     // ---- Final sequence all-gather (Algorithm 1 line 13) -----------------
     if (cfg.sp > 1) {
         t.comm += opts_.comm_scale *
-                  coll_.all_gather(
-                      static_cast<double>(n) * m.hidden_size * act_b,
-                      cfg.sp);
+                  c.sp_all_gather.seconds(static_cast<double>(n) *
+                                          m.hidden_size * act_b);
     }
     fill_breakdown(t);
     return t;

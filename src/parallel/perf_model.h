@@ -94,7 +94,10 @@ struct PerfOptions
  * The roofline step-cost model (default `model::CostModel`).
  *
  * Construct once per (node, model) pair and query with any valid
- * configuration; the model is stateless across calls.
+ * configuration. The first step priced under a (configuration, sliced)
+ * pair validates it and derives the terms that depend on nothing else;
+ * every later step under that pair reuses them, so an instance belongs to
+ * one engine or caller thread.
  */
 class PerfModel : public model::CostModel
 {
@@ -118,10 +121,38 @@ class PerfModel : public model::CostModel
     const PerfOptions& options() const { return opts_; }
 
   private:
+    /**
+     * The operands of `evaluate` that depend only on one (configuration,
+     * sliced) pair, computed as the per-step arithmetic would compute
+     * them, so a step prices to the same doubles.
+     */
+    struct ConfigTerms
+    {
+        ParallelConfig cfg;
+        bool sliced = false;
+        int rep = 1;                ///< KV replication factor
+        double overhead = 0.0;      ///< engine overhead per step
+        double dense_pg = 0.0;      ///< dense weight bytes / TP
+        double weight_scale = 1.0;  ///< 1 + slicing overhead when sliced
+        double head_bytes = 0.0;    ///< LM-head weight bytes per GPU
+        hw::CollectiveCost tp_all_reduce;
+        hw::CollectiveCost sp_all_to_all;
+        hw::CollectiveCost sp_all_gather;
+        hw::CollectiveCost ep_all_to_all;
+        double qkv_cols = 0.0;  ///< SP all-to-all QKV columns per TP rank
+        double o_cols = 0.0;    ///< SP all-to-all output columns per TP rank
+    };
+
+    /** @return `cfg`'s terms, validated and filled on first use. */
+    const ConfigTerms& terms(const ParallelConfig& cfg, bool sliced) const;
+
     hw::Node node_;
     model::ModelConfig model_;
     PerfOptions opts_;
     hw::CollectiveModel coll_;
+    double gemm_rate_ = 0.0;  ///< achievable GEMM FLOP/s at the weight dtype
+    double attn_rate_ = 0.0;  ///< achievable attention FLOP/s at the KV dtype
+    mutable std::vector<ConfigTerms> table_;  ///< filled lazily
 };
 
 } // namespace shiftpar::parallel

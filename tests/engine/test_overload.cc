@@ -19,6 +19,7 @@
 #include "engine/router.h"
 #include "fault/fault_schedule.h"
 #include "obs/metrics_registry.h"
+#include "obs/trace.h"
 #include "workload/lifecycle.h"
 
 namespace shiftpar::engine {
@@ -35,7 +36,7 @@ using shiftpar::testing::tiny_model;
  * deadlines, hedges, and drains act on.
  */
 std::vector<std::unique_ptr<Engine>>
-replicas(int n, std::int64_t max_running = 0)
+replicas(int n, std::int64_t max_running = 0, obs::TraceSink* sink = nullptr)
 {
     std::vector<std::unique_ptr<Engine>> engines;
     for (int i = 0; i < n; ++i) {
@@ -43,6 +44,13 @@ replicas(int n, std::int64_t max_running = 0)
         cfg.base = {1, 4};
         if (max_running > 0)
             cfg.sched.max_running_seqs = max_running;
+        if (sink) {
+            obs::EngineMeta meta;
+            meta.label = "replica " + std::to_string(i);
+            meta.base = cfg.base;
+            cfg.trace = sink;
+            cfg.trace_id = sink->register_engine(meta);
+        }
         engines.push_back(make_engine(tiny_model(), cfg));
     }
     return engines;
@@ -69,6 +77,24 @@ arm_lossy_fail_stop(Router& router)
     res.max_retries = 0;
     res.shed_watermark = 0.75;
     router.set_faults(parse_fault_spec("fail:engine=0,at=0.05"), res);
+}
+
+/** Expect every lifecycle counter of `s` to be zero. */
+void
+expect_no_overload_counts(const OverloadStats& s)
+{
+    EXPECT_EQ(s.completed, 0);
+    EXPECT_EQ(s.expired, 0);
+    EXPECT_EQ(s.cancelled, 0);
+    EXPECT_EQ(s.hedges, 0);
+    EXPECT_EQ(s.hedge_wins, 0);
+    EXPECT_EQ(s.hedge_losses, 0);
+    EXPECT_EQ(s.breaker_opens, 0);
+    EXPECT_EQ(s.breaker_probes, 0);
+    EXPECT_EQ(s.breaker_closes, 0);
+    EXPECT_EQ(s.drains, 0);
+    EXPECT_EQ(s.drained, 0);
+    EXPECT_EQ(s.drain_resumes, 0);
 }
 
 /** @return the `shiftpar_request_outcome_total` series in `reg`. */
@@ -252,6 +278,136 @@ TEST(Hedge, DuplicatesQueuedWorkAndFirstCompletionWins)
     EXPECT_EQ(ids.size(), 24u);
 }
 
+/** Keeps every request lifecycle event, in publication order. */
+struct RequestLog : obs::TraceSink
+{
+    std::vector<obs::RequestEvent> events;
+
+    void on_request(const obs::RequestEvent& ev) override
+    {
+        events.push_back(ev);
+    }
+};
+
+/** Copies that were hedged, and cancelled, after they moved replicas. */
+struct MovedCopies
+{
+    int hedged = 0;
+    int cancelled = 0;
+};
+
+/**
+ * Walk `log` and follow every copy to the replica it was last submitted
+ * to. A hedge must name the replica holding the primary, and a cancelled
+ * copy must have no event after its cancel (a cancel that missed the copy
+ * leaves it running). Counts the copies that were hedged, or cancelled by
+ * the replica holding them, after a `moved` event (migrated or drained)
+ * had put them on another replica.
+ */
+MovedCopies
+follow_moved_copies(const RequestLog& log, obs::RequestPhase moved)
+{
+    std::map<RequestId, obs::EngineId> holder;
+    std::set<RequestId> moved_ids, closed;
+    MovedCopies out;
+    for (const obs::RequestEvent& ev : log.events) {
+        const RequestId id = ev.request;
+        EXPECT_EQ(closed.count(id), 0u)
+            << obs::phase_name(ev.phase) << " of " << id
+            << " after its cancel";
+        switch (ev.phase) {
+          case obs::RequestPhase::kSubmit:
+            holder[id] = ev.engine;
+            break;
+          case obs::RequestPhase::kHedged:
+            EXPECT_EQ(ev.engine, holder.at(id)) << "hedge of " << id;
+            out.hedged += moved_ids.count(id) > 0;
+            break;
+          case obs::RequestPhase::kCancel:
+            // The router publishes a cancel of a copy that sits on no
+            // replica itself; an engine publishes only what it held.
+            closed.insert(id);
+            if (holder.count(id) > 0 && ev.engine == holder.at(id))
+                out.cancelled += moved_ids.count(id) > 0;
+            break;
+          default:
+            break;
+        }
+        if (ev.phase == moved)
+            moved_ids.insert(id);
+    }
+    return out;
+}
+
+TEST(Hedge, FollowsAPrimaryThatMigratedAndCancelsItThere)
+{
+    // Three serial replicas under round-robin: every third request is a
+    // long prompt, so replica 0's queue outgrows the others' and the
+    // rebalancer moves its waiting requests onto the idlest replica.
+    // Hedges fire 50 ms after arrival and every request is aborted
+    // 150 ms after it arrived, so a moved copy that is still queued gets
+    // hedged and then cancelled on the replica it moved to.
+    RequestLog log;
+    MigrationOptions mig;
+    mig.enabled = true;
+    mig.min_token_imbalance = 1024;
+    Router router(replicas(3, /*max_running=*/1, &log),
+                  RoutingPolicy::kRoundRobin, mig);
+    router.set_trace(&log);
+    OverloadOptions opts;
+    opts.hedge_delay = 0.05;
+    router.set_overload(opts);
+    std::vector<RequestSpec> reqs;
+    std::vector<CancelEvent> cancels;
+    for (int i = 0; i < 60; ++i) {
+        const double at = 0.002 * i;
+        reqs.push_back({at, i % 3 == 0 ? 4096 : 256, 16});
+        cancels.push_back({i, at + 0.15});
+    }
+    router.set_cancellations(cancels);
+    router.run_workload(reqs);
+
+    ASSERT_GT(router.migration_count(), 0);
+    const MovedCopies moved =
+        follow_moved_copies(log, obs::RequestPhase::kMigrated);
+    EXPECT_GT(moved.hedged, 0);
+    EXPECT_GT(moved.cancelled, 0);
+    EXPECT_GT(router.overload_stats().cancelled, 0);
+    EXPECT_EQ(settled(router), 60);
+}
+
+TEST(Hedge, FollowsAPrimaryThatADrainReAdmittedAndCancelsItThere)
+{
+    // Replica 0 of three drains 20 ms in, handing its queue back; the
+    // router re-admits each request elsewhere, where its hedge (50 ms
+    // after arrival) and its abort (150 ms after) must find it.
+    RequestLog log;
+    Router router(replicas(3, /*max_running=*/1, &log),
+                  RoutingPolicy::kRoundRobin);
+    router.set_trace(&log);
+    router.set_faults(parse_fault_spec("drain:engine=0,at=0.02"), {});
+    OverloadOptions opts;
+    opts.hedge_delay = 0.05;
+    router.set_overload(opts);
+    std::vector<RequestSpec> reqs;
+    std::vector<CancelEvent> cancels;
+    for (int i = 0; i < 60; ++i) {
+        const double at = 0.001 * i;
+        reqs.push_back({at, 512, 16});
+        cancels.push_back({i, at + 0.15});
+    }
+    router.set_cancellations(cancels);
+    router.run_workload(reqs);
+
+    ASSERT_GT(router.overload_stats().drained, 0);
+    const MovedCopies moved =
+        follow_moved_copies(log, obs::RequestPhase::kDrained);
+    EXPECT_GT(moved.hedged, 0);
+    EXPECT_GT(moved.cancelled, 0);
+    EXPECT_GT(router.overload_stats().cancelled, 0);
+    EXPECT_EQ(settled(router), 60);
+}
+
 TEST(Hedge, SingleReplicaHasNowhereToHedge)
 {
     Router router(replicas(1, /*max_running=*/1));
@@ -360,7 +516,7 @@ TEST(Lifecycle, DefaultOptionsAreBitIdenticalToPlainRouter)
         armed.set_cancellations({});
         const auto b = armed.run_workload(reqs);
 
-        EXPECT_FALSE(armed.overload_stats().any());
+        expect_no_overload_counts(armed.overload_stats());
         if (faulted) {
             EXPECT_GT(armed.fault_stats().lost, 0);
             EXPECT_GT(armed.fault_stats().shed, 0);
@@ -446,7 +602,7 @@ TEST(Lifecycle, OutcomeCountersReachTheRegistryOnlyWhenActive)
         faulted.run_workload(steady_arrivals(20));
         EXPECT_GT(faulted.fault_stats().lost, 0);
         EXPECT_GT(faulted.fault_stats().shed, 0);
-        EXPECT_FALSE(faulted.overload_stats().any());
+        expect_no_overload_counts(faulted.overload_stats());
     }
     EXPECT_FALSE(reg.empty());
     for (const auto& c : reg.snapshot().counters)

@@ -429,7 +429,14 @@ TEST(FaultReplay, EmptyScheduleIsBitIdenticalToNoFaultMachinery)
     armed.set_faults(FaultSchedule{}, res);
     const auto b = armed.run_workload(reqs);
 
-    EXPECT_FALSE(armed.fault_stats().any());
+    const FaultStats& fs = armed.fault_stats();
+    EXPECT_EQ(fs.failures, 0);
+    EXPECT_EQ(fs.recoveries, 0);
+    EXPECT_EQ(fs.straggles, 0);
+    EXPECT_EQ(fs.dropped, 0);
+    EXPECT_EQ(fs.retries, 0);
+    EXPECT_EQ(fs.lost, 0);
+    EXPECT_EQ(fs.shed, 0);
     ASSERT_EQ(a.requests().size(), b.requests().size());
     for (std::size_t i = 0; i < a.requests().size(); ++i) {
         EXPECT_EQ(a.requests()[i].id, b.requests()[i].id);

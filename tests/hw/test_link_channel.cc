@@ -25,12 +25,17 @@ TEST(LinkChannel, OccupancyIsBandwidthPlusLatency)
     EXPECT_DOUBLE_EQ(ch.occupancy(80.0), 1.5);
 }
 
+// A reservation's start is the end it returns less its occupancy; the
+// checks below also read `busy_until()` before each reservation, the
+// clock the start is taken from.
+
 TEST(LinkChannel, IdleLinkStartsAtRequestTime)
 {
     LinkChannel ch(test_link());
-    const auto w = ch.reserve(10.0, 80.0);
-    EXPECT_DOUBLE_EQ(w.start, 10.0);
-    EXPECT_DOUBLE_EQ(w.end, 11.5);
+    EXPECT_DOUBLE_EQ(ch.busy_until(), 0.0);
+    const double end = ch.reserve(10.0, 80.0);
+    EXPECT_DOUBLE_EQ(end - ch.occupancy(80.0), 10.0);
+    EXPECT_DOUBLE_EQ(end, 11.5);
     EXPECT_DOUBLE_EQ(ch.busy_until(), 11.5);
 }
 
@@ -38,18 +43,19 @@ TEST(LinkChannel, OverlappingTransfersSerializeFifo)
 {
     LinkChannel ch(test_link());
     EXPECT_DOUBLE_EQ(ch.busy_until(), 0.0);
-    const auto a = ch.reserve(0.0, 80.0);  // [0, 1.5]
-    EXPECT_DOUBLE_EQ(a.end, 1.5);
+    const double a = ch.reserve(0.0, 80.0);  // [0, 1.5]
+    EXPECT_DOUBLE_EQ(a - ch.occupancy(80.0), 0.0);
+    EXPECT_DOUBLE_EQ(a, 1.5);
     EXPECT_DOUBLE_EQ(ch.busy_until(), 1.5);
-    const auto b = ch.reserve(1.0, 80.0);  // queues: [1.5, 3.0]
-    EXPECT_DOUBLE_EQ(b.start, 1.5);
-    EXPECT_DOUBLE_EQ(b.end, 3.0);
+    const double b = ch.reserve(1.0, 80.0);  // queues: [1.5, 3.0]
+    EXPECT_DOUBLE_EQ(b - ch.occupancy(80.0), 1.5);
+    EXPECT_DOUBLE_EQ(b, 3.0);
     EXPECT_DOUBLE_EQ(ch.busy_until(), 3.0);
     // After an idle gap the link starts at the request time, and the
     // busy-until clock moves forward to the new window's end.
-    const auto c = ch.reserve(10.0, 80.0);  // [10, 11.5]
-    EXPECT_DOUBLE_EQ(c.start, 10.0);
-    EXPECT_DOUBLE_EQ(c.end, 11.5);
+    const double c = ch.reserve(10.0, 80.0);  // [10, 11.5]
+    EXPECT_DOUBLE_EQ(c - ch.occupancy(80.0), 10.0);
+    EXPECT_DOUBLE_EQ(c, 11.5);
     EXPECT_DOUBLE_EQ(ch.busy_until(), 11.5);
 }
 

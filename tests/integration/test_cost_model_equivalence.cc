@@ -8,6 +8,10 @@
  * `PerfModel::evaluate`, fed the `BatchWork` built from the same chunks,
  * must match it to exact double equality (`EXPECT_EQ`) across randomized
  * (SP, TP, batch, context, sliced) sweeps at the default feature factors.
+ * `PerfModel` derives its configuration-only terms once per (config,
+ * sliced) pair, so one instance is also priced across interleaved
+ * configurations, and an invalid configuration must stay fatal on first
+ * use however many valid ones were cached before it.
  * The factory's default must be the roofline model with identical
  * construction, and the cost-metrics instrumentation must not perturb
  * engine timings when enabled (and must not touch the registry when
@@ -18,6 +22,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/test_helpers.h"
@@ -281,6 +287,85 @@ TEST(CostModelEquivalence, MoeWithExpertParallelMatches)
         {1, 8, 1}, {1, 8, 8}, {4, 2, 8}, {8, 1, 4}};
     randomized_equivalence_sweep(model::llama_17b_16e(), PerfOptions{},
                                  cfgs, 99);
+}
+
+/**
+ * Price every `(config, sliced)` step of `sequence` with one `PerfModel`,
+ * so each configuration's cached terms are reused after other
+ * configurations were priced in between, and check each step against the
+ * frozen reference bit for bit.
+ */
+void
+interleaved_pricing(
+    const model::ModelConfig& m,
+    const std::vector<std::pair<ParallelConfig, bool>>& sequence,
+    std::uint64_t seed)
+{
+    const hw::Node node = hw::h200_node();
+    const hw::CollectiveModel coll(node.link);
+    const PerfOptions opts;
+    const PerfModel perf(node, m, opts);
+    Rng rng(seed);
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < sequence.size(); ++i) {
+            const auto& [cfg, sliced] = sequence[i];
+            std::vector<Chunk> chunks = random_chunks(rng);
+            if (chunks.empty())
+                chunks.push_back({1, 100, false});
+            const StepTiming expected =
+                legacy_step_time(node, m, opts, coll, chunks, cfg, sliced);
+            const StepTiming got =
+                perf.evaluate(to_work(chunks), cfg, sliced);
+            expect_identical(got, expected,
+                             cfg.to_string() + (sliced ? " sliced" : "") +
+                                 " round " + std::to_string(round) +
+                                 " step " + std::to_string(i));
+        }
+    }
+}
+
+TEST(CostModelEquivalence, OneInstancePricesInterleavedConfigsExactly)
+{
+    // A base configuration and its shift configuration, each also sliced,
+    // and back: a table that ignored `sliced` would price the sliced
+    // steps with unsliced weight traffic.
+    const ParallelConfig base{2, 4};
+    const ParallelConfig shift = base.shift_config();
+    interleaved_pricing(model::llama_70b(),
+                        {{base, false},
+                         {shift, false},
+                         {base, true},
+                         {shift, true},
+                         {base, false},
+                         {shift, true},
+                         {shift, false}},
+                        33);
+    // The MoE model across configurations that differ only in EP: a
+    // table that ignored `ep` would reuse the EP=1 expert shards and
+    // drop the dispatch all-to-alls.
+    interleaved_pricing(model::llama_17b_16e(),
+                        {{{1, 8, 1}, false},
+                         {{1, 8, 8}, false},
+                         {{4, 2, 8}, false},
+                         {{1, 8, 8}, true},
+                         {{1, 8, 1}, true},
+                         {{4, 2, 8}, true},
+                         {{1, 8, 4}, false},
+                         {{1, 8, 1}, false}},
+                        34);
+}
+
+TEST(CostModelEquivalenceDeathTest, InvalidConfigStaysFatalAfterCaching)
+{
+    const PerfModel perf(hw::h200_node(), model::llama_70b());
+    const BatchWork work = BatchWork::decode(8, 1024);
+    perf.evaluate(work, {1, 8});
+    perf.evaluate(work, {2, 4}, /*sliced_weights=*/true);
+    // 64 query heads do not divide across 3 ranks.
+    EXPECT_DEATH(perf.evaluate(work, {3, 1}), "invalid parallel config");
+    // EP on a dense model, next to a cached configuration with the same
+    // SP and TP.
+    EXPECT_DEATH(perf.evaluate(work, {1, 8, 2}), "invalid parallel config");
 }
 
 TEST(CostModelEquivalence, FactoryDefaultIsTheRooflineModel)
